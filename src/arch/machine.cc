@@ -1,10 +1,10 @@
 #include "arch/machine.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "sim/compiler.h"
 #include "sim/log.h"
-#include "sim/trace.h"
 
 namespace svtsim {
 
@@ -13,17 +13,6 @@ namespace {
 /** Sentinel for "no trace span was opened for this scope". */
 constexpr std::size_t noTraceSpan =
     std::numeric_limits<std::size_t>::max();
-
-/** Attribution scope names map onto trace categories by prefix. */
-TraceCategory
-scopeCategory(const std::string &name)
-{
-    if (name.rfind("stage.", 0) == 0)
-        return TraceCategory::Stage;
-    if (name.rfind("exit.", 0) == 0)
-        return TraceCategory::Exit;
-    return TraceCategory::Sim;
-}
 
 } // namespace
 
@@ -60,8 +49,8 @@ Machine::consume(Ticks t)
         panic("Machine::consume negative time");
     if (t == 0)
         return;
-    for (const auto &scope : scopeStack_)
-        buckets_[scope] += t;
+    for (const OpenScope &open : openScopes_)
+        scopeTicks_[open.id] += t;
     if (TraceSink *sink = eq_.traceSink(); SVTSIM_UNLIKELY(sink != nullptr))
         sink->attribute(t);
     eq_.advanceBy(t);
@@ -79,46 +68,62 @@ Machine::idleUntil(Ticks when)
         sink->attributeIdle(now() - before);
 }
 
-void
-Machine::pushScope(const std::string &name)
+ScopeId
+Machine::internScope(const std::string &name, TraceCategory category)
 {
-    scopeStack_.push_back(name);
+    for (ScopeId id = 0; id < scopes_.size(); ++id) {
+        if (scopes_[id].name != name)
+            continue;
+        if (scopes_[id].category != category)
+            panic("Machine::internScope: scope '%s' re-interned as %s "
+                  "(was %s)",
+                  name.c_str(), traceCategoryName(category),
+                  traceCategoryName(scopes_[id].category));
+        return id;
+    }
+    scopes_.push_back(ScopeInfo{name, category});
+    scopeTicks_.push_back(0);
+    return static_cast<ScopeId>(scopes_.size() - 1);
+}
+
+void
+Machine::pushScope(ScopeId id)
+{
+    if (SVTSIM_UNLIKELY(id >= scopes_.size()))
+        panic("Machine::pushScope of unknown scope id %u", id);
     TraceSink *sink = eq_.traceSink();
-    scopeSpans_.push_back(sink && sink->enabled()
-                              ? sink->beginSpan(scopeCategory(name), name)
-                              : noTraceSpan);
+    const ScopeInfo &scope = scopes_[id];
+    openScopes_.push_back(OpenScope{
+        id, SVTSIM_UNLIKELY(sink && sink->enabled())
+                ? sink->beginSpan(scope.category, scope.name)
+                : noTraceSpan});
 }
 
 void
 Machine::popScope()
 {
-    if (scopeStack_.empty())
+    if (openScopes_.empty())
         panic("Machine::popScope with no open scope");
-    if (scopeSpans_.back() != noTraceSpan) {
+    if (openScopes_.back().span != noTraceSpan) {
         if (TraceSink *sink = eq_.traceSink())
-            sink->endSpan(scopeSpans_.back());
+            sink->endSpan(openScopes_.back().span);
     }
-    scopeSpans_.pop_back();
-    scopeStack_.pop_back();
+    openScopes_.pop_back();
 }
 
 Ticks
 Machine::scopeTotal(const std::string &name) const
 {
-    auto it = buckets_.find(name);
-    return it == buckets_.end() ? 0 : it->second;
+    for (ScopeId id = 0; id < scopes_.size(); ++id)
+        if (scopes_[id].name == name)
+            return scopeTicks_[id];
+    return 0;
 }
 
 void
 Machine::resetAttribution()
 {
-    buckets_.clear();
-}
-
-void
-Machine::count(const std::string &key, std::uint64_t n)
-{
-    metrics_.addByName(key, n);
+    std::fill(scopeTicks_.begin(), scopeTicks_.end(), 0);
 }
 
 std::uint64_t
@@ -151,7 +156,11 @@ MetricsSnapshot
 Machine::snapshotMetrics() const
 {
     MetricsSnapshot snap = metrics_.snapshot();
-    snap.scopes.assign(buckets_.begin(), buckets_.end());
+    for (ScopeId id = 0; id < scopes_.size(); ++id) {
+        if (scopeTicks_[id] != 0)
+            snap.scopes.emplace_back(scopes_[id].name, scopeTicks_[id]);
+    }
+    std::sort(snap.scopes.begin(), snap.scopes.end());
     return snap;
 }
 

@@ -18,9 +18,13 @@
 #include "sim/event_queue.h"
 #include "sim/fault.h"
 #include "sim/random.h"
+#include "sim/trace.h"
 #include "stats/metrics.h"
 
 namespace svtsim {
+
+/** Interned attribution-scope handle (see Machine::internScope). */
+using ScopeId = std::uint32_t;
 
 /** Physical machine shape (Table 4: 2x 8-core 2-SMT Xeon). */
 struct MachineTopology
@@ -80,20 +84,24 @@ class Machine
     void idleUntil(Ticks when);
 
     // -- Attribution scopes ----------------------------------------------
+    /**
+     * Intern an attribution scope (cold path, at component
+     * construction). Idempotent on @p name: a second call returns the
+     * same id; a different @p category for a known name panics. The
+     * category is what the scope's trace span is recorded under.
+     */
+    ScopeId internScope(const std::string &name, TraceCategory category);
+
     /** Open an attribution scope; time consumed while open accrues to
-     *  the named bucket. Scopes nest; all open scopes accrue. */
-    void pushScope(const std::string &name);
+     *  its bucket. Scopes nest; all open scopes accrue. */
+    void pushScope(ScopeId id);
     void popScope();
 
-    /** Total ticks accrued to @p name since the last reset. */
+    /** Ticks accrued to the scope named @p name since the last reset
+     *  (0 when no such scope was interned). Cold: a name lookup. */
     Ticks scopeTotal(const std::string &name) const;
 
-    /** All buckets (name -> ticks), for rendering breakdown tables. */
-    const std::map<std::string, Ticks> &scopeTotals() const
-    {
-        return buckets_;
-    }
-
+    /** Zero every scope's bucket (interned ids stay valid). */
     void resetAttribution();
 
     // -- Simulated PMU -----------------------------------------------------
@@ -102,13 +110,8 @@ class Machine
     MetricsRegistry &metrics() { return metrics_; }
     const MetricsRegistry &metrics() const { return metrics_; }
 
-    /**
-     * Compat shim over the old string-keyed counter map: adds to a
-     * pre-registered counter by name. Raises FatalError on keys no
-     * component registered — a typo'd key is a config bug, not a new
-     * counter.
-     */
-    void count(const std::string &key, std::uint64_t n = 1);
+    /** Value of a registered counter by name; raises FatalError on
+     *  names no component registered (a typo'd name is a config bug). */
     std::uint64_t counter(const std::string &key) const;
 
     // -- Fault injection ---------------------------------------------------
@@ -140,7 +143,8 @@ class Machine
     }
     void resetCounters() { metrics_.reset(); }
 
-    /** Registry snapshot plus this machine's attribution buckets. */
+    /** Registry snapshot plus this machine's non-zero attribution
+     *  buckets, sorted by scope name. */
     MetricsSnapshot snapshotMetrics() const;
 
   private:
@@ -153,11 +157,21 @@ class Machine
      *  handles during construction. */
     MetricsRegistry metrics_;
     std::vector<std::unique_ptr<SmtCore>> cores_;
-    std::vector<std::string> scopeStack_;
-    /** Trace-span handle per open scope; noTraceSpan when the sink was
-     *  absent/disabled at pushScope() time. */
-    std::vector<std::size_t> scopeSpans_;
-    std::map<std::string, Ticks> buckets_;
+    struct ScopeInfo
+    {
+        std::string name;
+        TraceCategory category;
+    };
+    /** An open scope and its trace-span handle (noTraceSpan when the
+     *  sink was absent/disabled at pushScope() time). */
+    struct OpenScope
+    {
+        ScopeId id;
+        std::size_t span;
+    };
+    std::vector<ScopeInfo> scopes_;      ///< Indexed by ScopeId.
+    std::vector<Ticks> scopeTicks_;      ///< Indexed by ScopeId.
+    std::vector<OpenScope> openScopes_;  ///< Innermost last.
     std::unique_ptr<FaultInjector> faults_;
     std::array<Counter, numFaultSites> faultMetric_;
     int nextApicId_ = 1000;
@@ -167,10 +181,9 @@ class Machine
 class TimeScope
 {
   public:
-    TimeScope(Machine &machine, std::string name)
-        : machine_(machine)
+    TimeScope(Machine &machine, ScopeId id) : machine_(machine)
     {
-        machine_.pushScope(std::move(name));
+        machine_.pushScope(id);
     }
 
     ~TimeScope() { machine_.popScope(); }

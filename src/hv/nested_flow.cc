@@ -43,7 +43,7 @@ VirtStack::exitFromL2(const ExitInfo &info)
               pumping_ ? 1 : 0);
     }
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.switch_l2_l0");
+    TimeScope t(machine_, stage_.switchL2L0);
     if (config_.mode == VirtMode::HwSvt) {
         // SVt: squash + fetch retarget; exit info lands in the VMCS
         // with a few field stores, registers stay in context-2.
@@ -71,7 +71,7 @@ VirtStack::resumeL2()
 {
     simAssert(!l2Running_, "resumeL2 while L2 is already running");
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.switch_l2_l0");
+    TimeScope t(machine_, stage_.switchL2L0);
     VmxEngine &e0 = *engines_[0];
     if (e0.currentVmcs() != vmcs02_.get())
         e0.vmptrld(vmcs02_.get());
@@ -108,7 +108,7 @@ VirtStack::transformPassCost() const
 void
 VirtStack::transformVmcs02ToVmcs12()
 {
-    TimeScope t(machine_, "stage.transform");
+    TimeScope t(machine_, stage_.transform);
     machine_.consume(transformPassCost());
     // Reflect L2's architectural state and the exit information into
     // the shadow VMCS (vmcs01' as L1 sees it).
@@ -127,7 +127,7 @@ void
 VirtStack::transformVmcs12ToVmcs02()
 {
     const CostModel &c = machine_.costs();
-    TimeScope t(machine_, "stage.transform");
+    TimeScope t(machine_, stage_.transform);
     machine_.consume(transformPassCost());
     // Apply L1's updates back to the hardware VMCS, translating the
     // address-bearing fields into L0 terms (the EPT pointer stays
@@ -184,10 +184,9 @@ void
 VirtStack::nestedExitFromL2(const ExitInfo &info)
 {
     simAssert(isNestedMode(), "nestedExitFromL2 outside nested mode");
-    machine_.pushScope(std::string("exit.") +
-                       exitReasonName(info.reason));
     ReasonMetrics &rm =
         l2ExitMetric_[static_cast<std::size_t>(info.reason)];
+    machine_.pushScope(rm.scope);
     rm.count.inc();
     // Histogram sample = elapsed time while the exit.<reason> scope is
     // open, so the sum of all samples mirrors the trace layer's Exit
@@ -203,7 +202,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         // the L1 handler's own trapped operations visit L0.
         simAssert(l2Running_, "direct reflect while L2 not running");
         {
-            TimeScope t(machine_, "stage.switch_l2_l0");
+            TimeScope t(machine_, stage_.switchL2L0);
             vmcs12_->recordExit(info);
             machine_.consume(3 * c.vmcsFieldCopy + c.svtFieldLoad);
             svt_->loadFromVmcs(*vmcs01_);
@@ -214,7 +213,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         directReflectMetric_.inc();
         bool resume;
         {
-            TimeScope l1(machine_, "stage.l1_handler");
+            TimeScope l1(machine_, stage_.l1Handler);
             l1ViaSvt_ = true;
             resume = guestHv_->handleNestedExit(info, *ctxtBackend_);
             l1ViaSvt_ = false;
@@ -223,7 +222,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         {
             // L1's VMRESUME is also served in hardware: fetch
             // retargets straight back to L2's context.
-            TimeScope t(machine_, "stage.switch_l2_l0");
+            TimeScope t(machine_, stage_.switchL2L0);
             svt_->loadFromVmcs(*vmcs02_);
             svt_->vmResume();
             l2Running_ = true;
@@ -240,7 +239,7 @@ VirtStack::nestedExitFromL2(const ExitInfo &info)
         // L0 first tries to satisfy the fault from its shadow-EPT
         // merge of ept12 and ept01 (the Turtles multi-dimensional
         // paging scheme): only faults L1 has not mapped are reflected.
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         EptAccess acc = (info.qualification & 1) ? EptAccess::Write
                                                  : EptAccess::Read;
@@ -296,7 +295,7 @@ VirtStack::serviceL1Housekeeping(bool overlapped)
         hkOverlappedMetric_.inc();
         Ticks spill = work - machine_.costs().swSvtOverlapWindow;
         if (spill > 0) {
-            TimeScope t(machine_, "stage.l1_housekeeping");
+            TimeScope t(machine_, stage_.l1Housekeeping);
             machine_.consume(spill);
         }
         return;
@@ -304,7 +303,7 @@ VirtStack::serviceL1Housekeeping(bool overlapped)
     // Baseline / HW SVt: one effective thread of execution, so the
     // pending L1 kernel work is serviced before the L2 exit handling
     // proceeds.
-    TimeScope t(machine_, "stage.l1_housekeeping");
+    TimeScope t(machine_, stage_.l1Housekeeping);
     machine_.consume(work);
     hkSerialMetric_.inc();
 }
@@ -342,7 +341,7 @@ VirtStack::reflectBaseline(const ExitInfo &info)
     const CostModel &c = machine_.costs();
     VmxEngine &e0 = *engines_[0];
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         e0.vmptrld(vmcs01_.get());
         // Lazily sync the trap context into the L1-visible state:
@@ -356,13 +355,13 @@ VirtStack::reflectBaseline(const ExitInfo &info)
         machine_.consume(c.nestedStateMachine);
     }
     {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         e0.vmentry(false);
         machine_.consume(c.thunkRegRestore * c.thunkRegs);
     }
     bool resume;
     {
-        TimeScope l1(machine_, "stage.l1_handler");
+        TimeScope l1(machine_, stage_.l1Handler);
         l1Engine_ = &e0;
         l1Vmcs_ = vmcs01_.get();
         resume = guestHv_->handleNestedExit(info, *memBackend_);
@@ -371,13 +370,13 @@ VirtStack::reflectBaseline(const ExitInfo &info)
     }
     {
         // L1 issues VMRESUME (or halts): traps back into L0.
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         machine_.consume(c.thunkRegSave * c.thunkRegs);
         e0.vmexit(ExitInfo{.reason = resume ? ExitReason::Vmresume
                                             : ExitReason::Hlt});
     }
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch);
         if (resume)
             e0.vmptrld(vmcs02_.get());
@@ -393,7 +392,7 @@ VirtStack::reflectSwSvt(const ExitInfo &info)
     const CostModel &c = machine_.costs();
     ChannelMessage trap;
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         vmcs12_->recordExit(info);
         machine_.consume(c.nestedStateMachine);
@@ -421,7 +420,7 @@ VirtStack::reflectSwSvt(const ExitInfo &info)
         // The SVt-thread observes the command (monitor/mwait wake)
         // and reads the payload; the ring pop consumes time and must
         // stay inside the channel stage or its ticks go unattributed.
-        TimeScope ch(machine_, "stage.channel");
+        TimeScope ch(machine_, stage_.channel);
         ringToSvt_->consumeWake(config_.channel);
         msg = ringToSvt_->pop();
     }
@@ -432,7 +431,7 @@ VirtStack::reflectSwSvt(const ExitInfo &info)
     bool resume;
     ChannelMessage resp;
     {
-        TimeScope l1(machine_, "stage.l1_handler");
+        TimeScope l1(machine_, stage_.l1Handler);
         l1Engine_ = engines_[1].get();
         l1Vmcs_ = vmcs01s_.get();
         l1Slowdown_ = config_.channel.workerSlowdown(c);
@@ -454,7 +453,7 @@ VirtStack::reflectSwSvt(const ExitInfo &info)
         // run and vcpuL2InL1_ holds the updated registers: degrade and
         // sync them the conventional (vmread-grade) way.
         svtFallback("CMD_VM_RESUME lost");
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.lazySyncValue * c.lazySyncValues);
         for (int i = 0; i < numGprs; ++i) {
             vcpuL2InL0_->setGpr(static_cast<Gpr>(i),
@@ -466,7 +465,7 @@ VirtStack::reflectSwSvt(const ExitInfo &info)
     }
     {
         // L0 observes the response and reads the payload back.
-        TimeScope ch(machine_, "stage.channel");
+        TimeScope ch(machine_, stage_.channel);
         ringFromSvt_->consumeWake(config_.channel);
         resp = ringFromSvt_->pop();
     }
@@ -485,7 +484,7 @@ VirtStack::reflectHwSvt(const ExitInfo &info)
     const CostModel &c = machine_.costs();
     VmxEngine &e0 = *engines_[0];
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         e0.vmptrld(vmcs01_.get());
         svt_->loadFromVmcs(*vmcs01_);
@@ -496,23 +495,23 @@ VirtStack::reflectHwSvt(const ExitInfo &info)
         machine_.consume(c.nestedStateMachine);
     }
     {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         svt_->vmResume();
     }
     bool resume;
     {
-        TimeScope l1(machine_, "stage.l1_handler");
+        TimeScope l1(machine_, stage_.l1Handler);
         l1ViaSvt_ = true;
         resume = guestHv_->handleNestedExit(info, *ctxtBackend_);
         l1ViaSvt_ = false;
     }
     {
         // L1's VMRESUME traps: a thread stall/resume pair.
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         svt_->vmTrap();
     }
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch);
         if (resume)
             e0.vmptrld(vmcs02_.get());
@@ -561,7 +560,7 @@ VirtStack::reflectHwSvtMultiplexed(const ExitInfo &info)
     VmxEngine &e0 = *engines_[0];
     HwContext &ctx1 = core_.context(1);
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch + c.nestedExitCheck);
         e0.vmptrld(vmcs01_.get());
         svt_->loadFromVmcs(*vmcs01_);
@@ -580,23 +579,23 @@ VirtStack::reflectHwSvtMultiplexed(const ExitInfo &info)
         machine_.consume(c.nestedStateMachine);
     }
     {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         svtSwitchOwner(1);
         svt_->vmResume();
     }
     bool resume;
     {
-        TimeScope l1(machine_, "stage.l1_handler");
+        TimeScope l1(machine_, stage_.l1Handler);
         l1ViaSvt_ = true;
         resume = guestHv_->handleNestedExit(info, *muxBackend_);
         l1ViaSvt_ = false;
     }
     {
-        TimeScope sw(machine_, "stage.switch_l0_l1");
+        TimeScope sw(machine_, stage_.switchL0L1);
         svt_->vmTrap();
     }
     {
-        TimeScope l0(machine_, "stage.l0_handler");
+        TimeScope l0(machine_, stage_.l0Handler);
         machine_.consume(c.handlerDispatch);
         if (resume)
             e0.vmptrld(vmcs02_.get());
@@ -636,7 +635,7 @@ VirtStack::serviceSvtThreadPreemption()
         // No SVT_BLOCKED fix, but the heartbeat watchdog notices the
         // stalled handshake: degrade, reschedule the L1 vCPU on the
         // now-free context (draining the IPI) and carry on.
-        TimeScope t(machine_, "stage.svt_watchdog");
+        TimeScope t(machine_, stage_.svtWatchdog);
         machine_.consume(wd.timeout);
         svtFallback("section 5.3 preemption stall");
         vcpuL1_->lapic().raise(vec::l1Ipi);
@@ -722,7 +721,7 @@ VirtStack::svtAwaitRing(CommandRing &ring, const ChannelMessage &repost)
             "failure mode); enable StackConfig::svtWatchdog to "
             "degrade gracefully");
     }
-    TimeScope t(machine_, "stage.svt_watchdog");
+    TimeScope t(machine_, stage_.svtWatchdog);
     for (int attempt = 1; attempt <= wd.maxRetries; ++attempt) {
         // The heartbeat deadline passes; retry by re-ringing the
         // doorbell, with linear backoff between attempts.
@@ -1284,7 +1283,7 @@ L2Api::compute(Ticks t)
     while (t > 0) {
         Ticks step = std::min(t, slice);
         {
-            TimeScope s(stack_.machine_, "stage.l2");
+            TimeScope s(stack_.machine_, stack_.stage_.l2);
             stack_.machine_.consume(step);
         }
         t -= step;
@@ -1299,7 +1298,7 @@ L2Api::cpuid(std::uint64_t leaf)
     stack_.pumpInterrupts();
     const CostModel &c = stack_.machine_.costs();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(c.cpuidExec);
         ctx().writeGpr(Gpr::Rax, leaf);
     }
@@ -1320,7 +1319,7 @@ L2Api::rdmsr(std::uint32_t index)
         return ctx().rdmsr(index);
     }
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rcx, index);
     }
@@ -1340,7 +1339,7 @@ L2Api::wrmsr(std::uint32_t index, std::uint64_t value)
         return;
     }
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rcx, index);
         ctx().writeGpr(Gpr::Rax, value & 0xffffffff);
@@ -1409,7 +1408,7 @@ L2Api::ioOut(std::uint16_t port, std::uint64_t value)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     ExitInfo info;
@@ -1426,7 +1425,7 @@ L2Api::ioIn(std::uint16_t port)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     ExitInfo info;
@@ -1443,7 +1442,7 @@ L2Api::vmcall(std::uint64_t nr, std::uint64_t a0, std::uint64_t a1)
 {
     stack_.pumpInterrupts();
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(3 * stack_.machine_.costs().regOp);
         ctx().writeGpr(Gpr::Rax, nr);
         ctx().writeGpr(Gpr::Rbx, a0);
@@ -1462,7 +1461,7 @@ L2Api::halt()
     if (stack_.l2DeliveredVector_ >= 0)
         return stack_.l2DeliveredVector_;
     {
-        TimeScope s(stack_.machine_, "stage.l2");
+        TimeScope s(stack_.machine_, stack_.stage_.l2);
         stack_.machine_.consume(stack_.machine_.costs().regOp);
     }
     stack_.nestedExitFromL2(

@@ -108,10 +108,26 @@ VirtStack::setupCommon()
     // the benches/tests querying Machine::counter) touches must exist
     // before first use. Registered for every mode so zero-valued
     // lookups stay valid and the export schema is mode-independent.
+    auto stage = [this](const char *name) {
+        return machine_.internScope(std::string("stage.") + name,
+                                    TraceCategory::Stage);
+    };
+    stage_.l2 = stage("l2");
+    stage_.switchL2L0 = stage("switch_l2_l0");
+    stage_.transform = stage("transform");
+    stage_.l0Handler = stage("l0_handler");
+    stage_.switchL0L1 = stage("switch_l0_l1");
+    stage_.l1Handler = stage("l1_handler");
+    stage_.channel = stage("channel");
+    stage_.l1Housekeeping = stage("l1_housekeeping");
+    stage_.svtWatchdog = stage("svt_watchdog");
+
     MetricsRegistry &reg = machine_.metrics();
     for (std::size_t r = 0;
          r < static_cast<std::size_t>(ExitReason::NumReasons); ++r) {
         const char *rn = exitReasonName(static_cast<ExitReason>(r));
+        l2ExitMetric_[r].scope = machine_.internScope(
+            std::string("exit.") + rn, TraceCategory::Exit);
         l2ExitMetric_[r].count = reg.counter(
             MetricScope::L2, "hv", std::string("l2.exit.") + rn);
         l2ExitMetric_[r].latency = reg.histogram(

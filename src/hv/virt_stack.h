@@ -383,12 +383,25 @@ class VirtStack
     bool inL1Window_ = false;
     bool pumping_ = false;
 
+    // -- Attribution scopes (interned in setupCommon) ---------------------
+    /** The Table 1 stages plus channel/housekeeping/watchdog time, each
+     *  the `stage.<name>` scope on the machine. */
+    struct StageScopes
+    {
+        ScopeId l2, switchL2L0, transform, l0Handler, switchL0L1,
+            l1Handler, channel, l1Housekeeping, svtWatchdog;
+    };
+    StageScopes stage_{};
+
     // -- PMU handles (interned in setupCommon) -----------------------------
     /** Per-exit-reason count plus simulated-latency histogram. */
     struct ReasonMetrics
     {
         Counter count;
         LatencyHistogram latency;
+        /** The `exit.<reason>` attribution scope a nested round runs
+         *  under (unused by single-level rounds). */
+        ScopeId scope = 0;
     };
     using PerReason =
         std::array<ReasonMetrics,

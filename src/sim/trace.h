@@ -2,13 +2,17 @@
  * @file
  * Structured per-trap tracing with verifiable time attribution.
  *
- * The stage-scope accounting in Machine answers "how much time went to
- * each Table 1 stage in total"; the TraceSink answers "where did every
- * individual nanosecond of this run go, in order". It records:
+ * Machine's attribution scopes answer "how much time went to each
+ * Table 1 stage in total": interned ScopeId handles (fixed name and
+ * category, see Machine::internScope) over a flat per-id tick array.
+ * The TraceSink answers "where did every individual nanosecond of this
+ * run go, in order". While a sink is enabled, every pushed scope also
+ * opens a span here under its interned name and category. It records:
  *
- *  - spans (begin/end pairs, strictly nested, RAII via TraceSpan) with
- *    a category and a name — the `stage.*` spans are the six Table 1
- *    stages plus `stage.channel` / `stage.l1_housekeeping`;
+ *  - spans (begin/end pairs, strictly nested, RAII via TraceSpan or
+ *    Machine scopes) with a category and a name — the `stage.*` spans
+ *    are the six Table 1 stages plus `stage.channel`,
+ *    `stage.l1_housekeeping` and `stage.svt_watchdog`;
  *  - instant events (a VM entry, an SVt fetch retarget, a virtqueue
  *    kick);
  *  - counters (ring payload sizes, queue depths).

@@ -190,20 +190,6 @@ MetricsRegistry::has(const std::string &name) const
     return index_.count(name) != 0;
 }
 
-void
-MetricsRegistry::addByName(const std::string &name, std::uint64_t n)
-{
-    auto it = index_.find(name);
-    if (it == index_.end())
-        fatal("MetricsRegistry: count of unregistered metric '%s'",
-              name.c_str());
-    Slot &slot = slots_[it->second];
-    if (slot.kind != MetricKind::Counter)
-        fatal("MetricsRegistry: count of non-counter metric '%s' (%s)",
-              name.c_str(), metricKindName(slot.kind));
-    slot.value += n;
-}
-
 std::uint64_t
 MetricsRegistry::counterValue(const std::string &name) const
 {

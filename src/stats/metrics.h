@@ -241,16 +241,12 @@ class MetricsRegistry
     bool has(const std::string &name) const;
     std::size_t size() const { return slots_.size(); }
 
-    // -- Name-based compat surface (cold path) -------------------------
-    /** Add to a registered counter by name; fatal on unknown names or
-     *  non-counter kinds (the Machine::count() compat shim). */
-    void addByName(const std::string &name, std::uint64_t n);
-
+    // -- Name-based lookups (cold path) ----------------------------------
     /** Value of a registered counter; fatal on unknown names. */
     std::uint64_t counterValue(const std::string &name) const;
 
-    /** All counters as a name -> value map (legacy Machine::counters()
-     *  surface; includes registered-but-untouched zeros). */
+    /** All counters as a name -> value map (includes
+     *  registered-but-untouched zeros). */
     std::map<std::string, std::uint64_t> counterValues() const;
 
     /** Zero every value (counters, gauges, histogram contents) while

@@ -1,11 +1,11 @@
 #include "workloads/remote_peer.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "sim/log.h"
 #include "stats/summary.h"
 #include "workloads/guest_os.h"
+#include "workloads/tenant_drivers.h"
 
 namespace svtsim {
 
@@ -140,72 +140,27 @@ ClusterNetperf::runStream(std::uint32_t seg_bytes, Ticks duration,
 
 MutilateClient::MutilateClient(Machine &machine, NetPort &port,
                                std::uint64_t seed)
-    : machine_(machine), port_(port), rng_(seed)
+    : machine_(machine), port_(port), seed_(seed)
 {
 }
 
 MemcachedPoint
 MutilateClient::runLoad(double qps, Ticks duration)
 {
-    Machine &m = machine_;
+    const Ticks t0 = machine_.now();
+    OpenLoopEtcLoadgen gen(machine_, seed_);
+    gen.addFlow(port_, qps);
+    gen.run(duration);
 
-    std::unordered_map<std::uint64_t, Ticks> sent;
-    Percentiles lat;
-    std::uint64_t completed = 0;
-
-    Ticks t0 = m.now();
-    Ticks end = t0 + duration;
-
-    // mutilate measures the full round trip at the client.
-    port_.setReceiveHandler([&](NetPacket pkt) {
-        auto it = sent.find(pkt.id);
-        if (it != sent.end()) {
-            lat.add(toUsec(m.now() - it->second));
-            sent.erase(it);
-            ++completed;
-        }
-    });
-
-    // Open-loop Poisson arrival process; each arrival samples the ETC
-    // distributions and ships the value size in the payload.
-    std::function<void()> arm = [&] {
-        Ticks gap = static_cast<Ticks>(rng_.exponential(1e12 / qps));
-        Ticks when = m.now() + std::max<Ticks>(gap, 1);
-        if (when >= end)
-            return;
-        m.events().schedule(when, [&] {
-            std::uint64_t id = nextId_++;
-            bool get = etc_.isGet(rng_);
-            std::uint32_t vsize = etc_.sampleValueSize(rng_);
-            std::uint32_t req_bytes =
-                etc_.sampleKeySize(rng_) + (get ? 24 : 24 + vsize);
-            sent[id] = m.now();
-            port_.send(NetPacket{
-                id, req_bytes,
-                (static_cast<std::uint64_t>(vsize) << 1) |
-                    (get ? 1 : 0)});
-            arm();
-        }, "mutilate-arrival");
-    };
-    arm();
-
-    // Idle through the run plus the drain grace (requests dropped
-    // under overload never complete; the grace bounds the wait).
-    // Under a cluster gate idleUntil can return early at an epoch
-    // boundary, so loop until the clock really arrives.
-    const Ticks grace = end + msec(5);
-    while (m.now() < grace)
-        m.idleUntil(grace);
-    port_.setReceiveHandler([](NetPacket) {});
-
+    const OpenLoopEtcLoadgen::FlowStats &flow = gen.flow(0);
     MemcachedPoint point;
     point.offeredQps = qps;
-    point.completed = completed;
-    point.achievedQps =
-        static_cast<double>(completed) / toSec(m.now() - t0);
-    if (lat.count()) {
-        point.avgUsec = lat.mean();
-        point.p99Usec = lat.p99();
+    point.completed = flow.completed;
+    point.achievedQps = static_cast<double>(flow.completed) /
+                        toSec(machine_.now() - t0);
+    if (flow.latency.count()) {
+        point.avgUsec = flow.latency.mean();
+        point.p99Usec = flow.latency.p99();
     }
     return point;
 }

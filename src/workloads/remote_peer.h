@@ -128,11 +128,11 @@ class ClusterNetperf
 };
 
 /**
- * mutilate on a bare-metal client machine: the open-loop Poisson
- * arrival process and the per-request latency measurement, talking
- * raw packets on its CrossLink end (no virtio on bare metal). The
- * ETC request sampling lives here, like real mutilate: the sampled
- * value size rides in the packet payload for the server to decode.
+ * mutilate on a bare-metal client machine: one open-loop ETC flow
+ * (OpenLoopEtcLoadgen) talking raw packets on its CrossLink end (no
+ * virtio on bare metal), reported as a load point. The ETC request
+ * sampling lives at the client, like real mutilate: the sampled value
+ * size rides in the packet payload for the server to decode.
  */
 class MutilateClient
 {
@@ -143,16 +143,15 @@ class MutilateClient
     /**
      * Offer @p qps for @p duration and idle the machine through the
      * run plus a drain grace period. Synchronous: call from the
-     * client machine's cluster driver.
+     * client machine's cluster driver. Every call replays the arrival
+     * stream from the constructor's seed.
      */
     MemcachedPoint runLoad(double qps, Ticks duration);
 
   private:
     Machine &machine_;
     NetPort &port_;
-    Rng rng_;
-    EtcWorkload etc_;
-    std::uint64_t nextId_ = 1;
+    std::uint64_t seed_;
 };
 
 /**

@@ -59,6 +59,10 @@ OpenLoopEtcLoadgen::run(Ticks duration, Ticks grace)
         });
         arm(flow, end);
     }
+    // Idle through the run plus the drain grace (requests dropped
+    // under overload never complete; the grace bounds the wait).
+    // Under a cluster gate idleUntil can return early at an epoch
+    // boundary, so loop until the clock really arrives.
     const Ticks drained = end + grace;
     while (m.now() < drained)
         m.idleUntil(drained);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Multi-flow open-loop ETC load generator for fleet scenarios.
+ * Multi-flow open-loop ETC load generator: the fleet's memcached
+ * tenants, and fig8's MutilateClient as a single flow.
  *
  * A memcached tenant in the fleet owns one bare-metal loadgen machine
  * fanned out over one CrossLink per serving slot (the cluster_speed

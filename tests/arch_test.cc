@@ -396,8 +396,9 @@ TEST(Machine, ConsumeAdvancesTime)
 TEST(Machine, AttributionSingleScope)
 {
     Machine m(MachineTopology{1, 1, 2});
+    const ScopeId a = m.internScope("stage-a", TraceCategory::Sim);
     {
-        TimeScope scope(m, "stage-a");
+        TimeScope scope(m, a);
         m.consume(nsec(100));
     }
     m.consume(nsec(50));
@@ -408,11 +409,13 @@ TEST(Machine, AttributionSingleScope)
 TEST(Machine, AttributionNestedScopesBothAccrue)
 {
     Machine m(MachineTopology{1, 1, 2});
+    const ScopeId outer_id = m.internScope("outer", TraceCategory::Sim);
+    const ScopeId inner_id = m.internScope("inner", TraceCategory::Sim);
     {
-        TimeScope outer(m, "outer");
+        TimeScope outer(m, outer_id);
         m.consume(nsec(10));
         {
-            TimeScope inner(m, "inner");
+            TimeScope inner(m, inner_id);
             m.consume(nsec(5));
         }
     }
@@ -423,7 +426,7 @@ TEST(Machine, AttributionNestedScopesBothAccrue)
 TEST(Machine, IdleTimeNotAttributed)
 {
     Machine m(MachineTopology{1, 1, 2});
-    TimeScope scope(m, "busy");
+    TimeScope scope(m, m.internScope("busy", TraceCategory::Sim));
     m.idleUntil(usec(10));
     EXPECT_EQ(m.scopeTotal("busy"), 0);
     EXPECT_EQ(m.now(), usec(10));
@@ -432,29 +435,82 @@ TEST(Machine, IdleTimeNotAttributed)
 TEST(Machine, ResetAttributionClears)
 {
     Machine m(MachineTopology{1, 1, 2});
+    const ScopeId x = m.internScope("x", TraceCategory::Sim);
     {
-        TimeScope scope(m, "x");
+        TimeScope scope(m, x);
         m.consume(nsec(10));
     }
     m.resetAttribution();
     EXPECT_EQ(m.scopeTotal("x"), 0);
+    // The handle survives the reset.
+    {
+        TimeScope scope(m, x);
+        m.consume(nsec(7));
+    }
+    EXPECT_EQ(m.scopeTotal("x"), nsec(7));
+}
+
+TEST(Machine, InternScopeIsIdempotentByName)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    const ScopeId a = m.internScope("stage.a", TraceCategory::Stage);
+    const ScopeId b = m.internScope("exit.B", TraceCategory::Exit);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(m.internScope("stage.a", TraceCategory::Stage), a);
+    EXPECT_EQ(m.internScope("exit.B", TraceCategory::Exit), b);
+    // A name keeps the category it was first interned with.
+    EXPECT_THROW(m.internScope("stage.a", TraceCategory::Exit),
+                 PanicError);
+}
+
+TEST(Machine, SnapshotScopesSortedAndNonZero)
+{
+    Machine m(MachineTopology{1, 1, 2});
+    // Interned out of name order; "stage.idle" never accrues.
+    const ScopeId z = m.internScope("stage.z", TraceCategory::Stage);
+    const ScopeId idle = m.internScope("stage.idle", TraceCategory::Stage);
+    const ScopeId a = m.internScope("exit.A", TraceCategory::Exit);
+    {
+        TimeScope outer(m, z);
+        m.consume(nsec(10));
+        TimeScope inner(m, a);
+        m.consume(nsec(5));
+    }
+    {
+        TimeScope scope(m, idle);
+        m.idleUntil(m.now() + nsec(20));
+    }
+    using Scopes = std::vector<std::pair<std::string, Ticks>>;
+    EXPECT_EQ(m.snapshotMetrics().scopes,
+              (Scopes{{"exit.A", nsec(5)}, {"stage.z", nsec(15)}}));
+
+    m.resetAttribution();
+    EXPECT_TRUE(m.snapshotMetrics().scopes.empty());
+    {
+        TimeScope scope(m, a);
+        m.consume(nsec(3));
+    }
+    EXPECT_EQ(m.snapshotMetrics().scopes,
+              (Scopes{{"exit.A", nsec(3)}}));
 }
 
 TEST(Machine, PopWithoutPushPanics)
 {
     Machine m(MachineTopology{1, 1, 2});
     EXPECT_THROW(m.popScope(), PanicError);
+    EXPECT_THROW(m.pushScope(0), PanicError); // nothing interned
 }
 
 TEST(Machine, CountersAccumulate)
 {
     Machine m(MachineTopology{1, 1, 2});
-    // count()/counter() are a compat shim over the PMU registry: the
-    // key must have been interned by some component first.
-    m.metrics().counter(MetricScope::Machine, "test", "exit:CPUID");
+    // counter() reads the PMU registry by name; components bump the
+    // interned handles.
+    Counter cpuid =
+        m.metrics().counter(MetricScope::Machine, "test", "exit:CPUID");
     m.metrics().counter(MetricScope::Machine, "test", "exit:HLT");
-    m.count("exit:CPUID");
-    m.count("exit:CPUID", 4);
+    cpuid.inc();
+    cpuid.inc(4);
     EXPECT_EQ(m.counter("exit:CPUID"), 5u);
     EXPECT_EQ(m.counter("exit:HLT"), 0u);
     m.resetCounters();
@@ -464,7 +520,6 @@ TEST(Machine, CountersAccumulate)
 TEST(Machine, CountOfUnregisteredKeyThrows)
 {
     Machine m(MachineTopology{1, 1, 2});
-    EXPECT_THROW(m.count("no.such.metric"), FatalError);
     EXPECT_THROW(m.counter("no.such.metric"), FatalError);
 }
 

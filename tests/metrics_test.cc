@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "arch/regs.h"
+#include "io/net_fabric.h"
+#include "io/ramdisk.h"
+#include "io/virtio_blk.h"
+#include "io/virtio_net.h"
 #include "sim/log.h"
 #include "sim/trace.h"
 #include "stats/metrics.h"
@@ -119,12 +125,9 @@ TEST(MetricsRegistry, ResetKeepsHandlesAlive)
 TEST(MetricsRegistry, NameCompatSurface)
 {
     MetricsRegistry reg;
-    reg.counter(MetricScope::Machine, "test", "known");
+    reg.counter(MetricScope::Machine, "test", "known").inc(3);
     reg.gauge(MetricScope::Machine, "test", "level");
-    reg.addByName("known", 3);
     EXPECT_EQ(reg.counterValue("known"), 3u);
-    EXPECT_THROW(reg.addByName("unknown", 1), FatalError);
-    EXPECT_THROW(reg.addByName("level", 1), FatalError);
     EXPECT_THROW(reg.counterValue("unknown"), FatalError);
     EXPECT_THROW(reg.counterValue("level"), FatalError);
 
@@ -188,6 +191,60 @@ TEST(MetricsPmu, EveryExitReasonNamedAndInstrumented)
     }
     // The round trip itself showed up where expected.
     EXPECT_GT(sys.machine().counter("l2.exit.CPUID"), 0u);
+}
+
+/** Every exit reason a nested round reaches accrues attribution time
+ *  under "exit." + exitReasonName(reason), and nothing else appears
+ *  under "exit." — the --metrics "stages" schema. */
+TEST(MetricsPmu, NestedExitReasonsAccrueUnderExitScopes)
+{
+    for (VirtMode mode :
+         {VirtMode::Nested, VirtMode::SwSvt, VirtMode::HwSvt}) {
+        NestedSystem sys(mode);
+        Machine &m = sys.machine();
+        NetFabric fabric(m, m.costs().wireLatency,
+                         m.costs().linkBitsPerSec);
+        VirtioNetStack net(sys.stack(), fabric);
+        RamDisk disk(m, "d");
+        VirtioBlkStack blk(sys.stack(), disk);
+        fabric.setPeerHandler(
+            [&](NetPacket pkt) { fabric.sendToLocal(pkt); });
+        int rx = 0;
+        net.setRxHandler([&](NetPacket) { ++rx; });
+        bool io_done = false;
+        blk.setCompletionHandler([&](std::uint64_t) { io_done = true; });
+
+        GuestApi &api = sys.api();
+        api.cpuid(1);
+        api.wrmsr(msr::ia32Lstar, 0x1234);
+        api.rdmsr(msr::ia32Lstar);
+        api.ioOut(0x3f8, 'H');
+        api.vmcall(99, 0, 0);
+        net.send(512, 1);
+        blk.submit(7, 0, 4096, true);
+        while (!io_done || rx < 1)
+            api.halt();
+
+        std::map<std::string, Ticks> exit_scopes;
+        for (const auto &[name, ticks] : m.snapshotMetrics().scopes) {
+            if (name.rfind("exit.", 0) == 0)
+                exit_scopes.emplace(name, ticks);
+        }
+        std::size_t reached = 0;
+        for (int r = 0; r < static_cast<int>(ExitReason::NumReasons);
+             ++r) {
+            const std::string name =
+                exitReasonName(static_cast<ExitReason>(r));
+            const bool taken = m.counter("l2.exit." + name) > 0;
+            reached += taken ? 1 : 0;
+            EXPECT_EQ(exit_scopes.count("exit." + name) != 0, taken)
+                << virtModeName(mode) << " " << name;
+            EXPECT_EQ(m.scopeTotal("exit." + name) > 0, taken)
+                << virtModeName(mode) << " " << name;
+        }
+        EXPECT_EQ(exit_scopes.size(), reached) << virtModeName(mode);
+        EXPECT_GE(reached, 5u) << virtModeName(mode);
+    }
 }
 
 // -------------------------------------------- conservation invariant

@@ -111,7 +111,8 @@ TEST(TraceSink, ConservationSeparatesIdleAndUnattributed)
 
     machine.consume(nsec(10)); // no open stage -> unattributed
     {
-        TimeScope s(machine, "stage.work");
+        TimeScope s(machine, machine.internScope("stage.work",
+                                                TraceCategory::Stage));
         machine.consume(nsec(30));
     }
     machine.idleUntil(machine.now() + nsec(60));
@@ -161,7 +162,8 @@ TEST(TraceSink, CsvSummarySumsToElapsed)
     machine.setTraceSink(&sink);
     sink.setEnabled(true);
     {
-        TimeScope s(machine, "stage.a");
+        TimeScope s(machine, machine.internScope("stage.a",
+                                                TraceCategory::Stage));
         machine.consume(nsec(40));
     }
     machine.consume(nsec(15));
