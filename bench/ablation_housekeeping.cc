@@ -5,15 +5,19 @@
  * paper's "lower and less noisy latencies" observation (Section
  * 6.3.1). Sweeping the per-request interference shows how much of
  * the SW SVt win comes from overlap vs from cheaper trap handling.
+ *
+ * A single-machine sweep: fig8's MemcachedServer serves one mutilate
+ * flow that sits on the far end of the same machine's NetFabric.
  */
 
 #include <cstdio>
 #include <string>
 
+#include "io/net_fabric.h"
 #include "io/virtio_net.h"
 #include "stats/table.h"
 #include "system/bench_harness.h"
-#include "workloads/memcached.h"
+#include "workloads/remote_peer.h"
 
 using namespace svtsim;
 
@@ -43,14 +47,15 @@ main(int argc, char **argv)
             bench.add(
                 hkName(mode, per_req), mode,
                 [per_req](NestedSystem &sys, ScenarioResult &r) {
-                    NetFabric fabric(
-                        sys.machine(),
-                        sys.machine().costs().wireLatency,
-                        sys.machine().costs().linkBitsPerSec);
+                    Machine &m = sys.machine();
+                    NetFabric fabric(m, m.costs().wireLatency,
+                                     m.costs().linkBitsPerSec);
                     VirtioNetStack net(sys.stack(), fabric);
-                    MemcachedBench mc(sys.stack(), net, fabric, 42,
-                                      1000.0, usec(14.5), per_req);
-                    MemcachedPoint pt = mc.runLoad(qps, msec(250));
+                    MemcachedServer server(sys.stack(), net, 42,
+                                           1000.0, usec(14.5),
+                                           per_req);
+                    MemcachedPoint pt = server.serveLocalLoad(
+                        fabric.peer(), qps, msec(250));
                     r.record("avg_usec", pt.avgUsec);
                     r.record("p99_usec", pt.p99Usec);
                 });

@@ -53,7 +53,7 @@ runNet(ClusterContext &ctx, ScenarioResult &r, VirtMode mode,
 
     VirtioNetStack net(b.stack("client"), b.port("client", "peer"));
     NetserverPeer peer(b.machine("peer"), b.port("peer", "client"));
-    ClusterNetperf netperf(b.stack("client"), net);
+    Netperf netperf(b.stack("client"), net);
 
     double lat_us = 0, bw_mbps = 0;
     b.driver("client", [&](NestedSystem &) {

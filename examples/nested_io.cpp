@@ -31,10 +31,11 @@ runOnce(VirtMode mode)
     NetFabric fabric(machine, machine.costs().wireLatency,
                      machine.costs().linkBitsPerSec);
     VirtioNetStack net(sys.stack(), fabric);
-    fabric.setPeerHandler([&](NetPacket pkt) {
+    NetPort &peer = fabric.peer();
+    peer.setReceiveHandler([&](NetPacket pkt) {
         machine.events().scheduleIn(
             machine.costs().remotePeerTurnaround,
-            [&fabric, pkt] { fabric.sendToLocal(pkt); });
+            [&peer, pkt] { peer.send(pkt); });
     });
     RamDisk disk(machine, "ramdisk");
     VirtioBlkStack blk(sys.stack(), disk);

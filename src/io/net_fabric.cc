@@ -18,18 +18,6 @@ NetFabric::NetFabric(Machine &machine, Ticks latency,
         fatal("NetFabric requires a positive link rate");
 }
 
-void
-NetFabric::setPeerHandler(std::function<void(NetPacket)> handler)
-{
-    dirs_[0].handler = std::move(handler);
-}
-
-void
-NetFabric::setLocalHandler(std::function<void(NetPacket)> handler)
-{
-    dirs_[1].handler = std::move(handler);
-}
-
 Ticks
 NetFabric::serialization(std::uint32_t bytes) const
 {
@@ -57,18 +45,6 @@ NetFabric::transmit(const NetPacket &pkt, Direction &dir)
         ++d->delivered;
         d->handler(pkt);
     }, "net-fabric");
-}
-
-void
-NetFabric::sendToPeer(const NetPacket &pkt)
-{
-    transmit(pkt, dirs_[0]);
-}
-
-void
-NetFabric::sendToLocal(const NetPacket &pkt)
-{
-    transmit(pkt, dirs_[1]);
 }
 
 } // namespace svtsim

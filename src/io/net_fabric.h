@@ -22,35 +22,27 @@ namespace svtsim {
  * segments queue behind each other and the STREAM workloads saturate
  * at line rate.
  *
- * The NetPort view exposes the local end: send() transmits toward the
- * peer and setReceiveHandler() installs the local delivery handler —
- * so workloads written against NetPort run unchanged whether the peer
- * is an in-queue handler (this class) or a real second machine
- * (CrossLink).
+ * The fabric itself is the local end (what the DUT's NIC plugs into);
+ * peer() is the far end. Both are NetPorts, so a bare-metal peer
+ * (NetserverPeer, OpenLoopEtcLoadgen, ...) attaches to peer() exactly
+ * as it would to a CrossLink end on a real second machine.
  */
 class NetFabric : public NetPort
 {
   public:
     NetFabric(Machine &machine, Ticks latency, double bits_per_sec);
+    NetFabric(const NetFabric &) = delete;
+    NetFabric &operator=(const NetFabric &) = delete;
 
-    /** Handler invoked (as an event) when a packet reaches the peer. */
-    void setPeerHandler(std::function<void(NetPacket)> handler);
-
-    /** Handler invoked when a packet reaches the local machine. */
-    void setLocalHandler(std::function<void(NetPacket)> handler);
-
-    /** Transmit from the local machine toward the peer. */
-    void sendToPeer(const NetPacket &pkt);
-
-    /** Transmit from the peer toward the local machine. */
-    void sendToLocal(const NetPacket &pkt);
+    /** The far end of the wire, on the same Machine. */
+    NetPort &peer() { return peer_; }
 
     // -- NetPort (the local end) ------------------------------------------
-    void send(const NetPacket &pkt) override { sendToPeer(pkt); }
+    void send(const NetPacket &pkt) override { transmit(pkt, dirs_[0]); }
     void
     setReceiveHandler(std::function<void(NetPacket)> handler) override
     {
-        setLocalHandler(std::move(handler));
+        dirs_[1].handler = std::move(handler);
     }
     /** Serialization time of @p bytes at link rate (with framing). */
     Ticks serialization(std::uint32_t bytes) const override;
@@ -68,6 +60,31 @@ class NetFabric : public NetPort
         std::uint64_t delivered = 0;
     };
 
+    /** The far end: transmits peer -> local, receives local -> peer. */
+    class FarEnd : public NetPort
+    {
+      public:
+        explicit FarEnd(NetFabric &fabric) : fabric_(fabric) {}
+        void
+        send(const NetPacket &pkt) override
+        {
+            fabric_.transmit(pkt, fabric_.dirs_[1]);
+        }
+        void
+        setReceiveHandler(std::function<void(NetPacket)> handler) override
+        {
+            fabric_.dirs_[0].handler = std::move(handler);
+        }
+        Ticks
+        serialization(std::uint32_t bytes) const override
+        {
+            return fabric_.serialization(bytes);
+        }
+
+      private:
+        NetFabric &fabric_;
+    };
+
     void transmit(const NetPacket &pkt, Direction &dir);
 
     Machine &machine_;
@@ -76,6 +93,7 @@ class NetFabric : public NetPort
     std::int64_t bitsPerSec_;
     /** [0] local -> peer, [1] peer -> local. */
     Direction dirs_[2];
+    FarEnd peer_{*this};
 };
 
 } // namespace svtsim

@@ -4,11 +4,12 @@
  *
  * A NetPort is what a NIC model (VirtioNetStack) or a bare-metal
  * workload plugs into: transmit toward the remote end, register one
- * receive handler. Two implementations exist:
+ * receive handler. Every peer (NetserverPeer, OpenLoopEtcLoadgen, the
+ * TPC-C client) is written against it. Two wires provide the ends:
  *
- *  - NetFabric: both wire ends live on the same Machine/EventQueue
- *    (the classic single-machine benches, where the peer is a handler
- *    inside the DUT's own queue).
+ *  - NetFabric: both ends live on the same Machine/EventQueue; the
+ *    fabric is the local end and NetFabric::peer() the far end (the
+ *    single-machine benches).
  *
  *  - CrossLink: the ends live on different Machines; delivery crosses
  *    event queues through the cluster engine's staged epoch merge.

@@ -58,9 +58,10 @@ class VirtioNetStack
 {
   public:
     /**
-     * @param port The wire attachment: a NetFabric end for the
-     *             classic single-machine benches, or a CrossLink end
-     *             when the peer is a real second machine.
+     * @param port The wire attachment: a NetFabric (the local end;
+     *             the peer sits on its peer() end) for single-machine
+     *             benches, or a CrossLink end when the peer is a real
+     *             second machine.
      */
     VirtioNetStack(VirtStack &stack, NetPort &port);
 

@@ -1,9 +1,6 @@
 #include "workloads/memcached.h"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "workloads/guest_os.h"
 
 namespace svtsim {
 
@@ -21,150 +18,6 @@ EtcWorkload::sampleKeySize(Rng &rng) const
 {
     return keyMin + static_cast<std::uint32_t>(
                         rng.below(keyMax - keyMin + 1));
-}
-
-MemcachedBench::MemcachedBench(VirtStack &stack, VirtioNetStack &net,
-                               NetFabric &fabric, std::uint64_t seed,
-                               double l1_housekeeping_rate_hz,
-                               Ticks l1_housekeeping_cost,
-                               double l1_housekeeping_per_request)
-    : stack_(stack), net_(net), fabric_(fabric), rng_(seed),
-      housekeepingRate_(l1_housekeeping_rate_hz),
-      housekeepingCost_(l1_housekeeping_cost),
-      housekeepingPerRequest_(l1_housekeeping_per_request)
-{
-}
-
-void
-MemcachedBench::scheduleHousekeeping(Ticks end)
-{
-    if (housekeepingRate_ <= 0)
-        return;
-    Machine &m = stack_.machine();
-    Ticks gap = static_cast<Ticks>(
-        rng_.exponential(1e12 / housekeepingRate_));
-    Ticks when = m.now() + std::max<Ticks>(gap, 1);
-    if (when >= end)
-        return;
-    m.events().schedule(when, [this, end] {
-        stack_.postL1Housekeeping(housekeepingCost_);
-        scheduleHousekeeping(end);
-    }, "l1-housekeeping");
-}
-
-MemcachedPoint
-MemcachedBench::runLoad(double qps, Ticks duration)
-{
-    Machine &machine = stack_.machine();
-    GuestApi &api = stack_.api();
-
-    // Client-side bookkeeping (lives on the peer machine).
-    std::unordered_map<std::uint64_t, Ticks> sent;
-    Percentiles lat;
-    std::uint64_t completed = 0;
-
-    Ticks t0 = machine.now();
-    Ticks end = t0 + duration;
-
-    // mutilate measures the full round trip of each request at the
-    // client.
-    fabric_.setPeerHandler([&](NetPacket pkt) {
-        auto it = sent.find(pkt.id);
-        if (it != sent.end()) {
-            lat.add(toUsec(machine.now() - it->second));
-            sent.erase(it);
-            ++completed;
-        }
-    });
-
-    // Server side: requests land in the connection inbox under the
-    // receive interrupt; the serving loop below drains it.
-    inbox_.clear();
-    net_.setRxHandler([&](NetPacket pkt) {
-        inbox_.push_back(Request{pkt.id, (pkt.payload & 1) != 0,
-                                 static_cast<std::uint32_t>(
-                                     pkt.payload >> 1)});
-    });
-
-    // Open-loop Poisson arrival process at the client.
-    std::function<void()> arm = [&] {
-        Ticks gap = static_cast<Ticks>(rng_.exponential(1e12 / qps));
-        Ticks when = machine.now() + std::max<Ticks>(gap, 1);
-        if (when >= end)
-            return;
-        machine.events().schedule(when, [&] {
-            std::uint64_t id = nextId_++;
-            bool get = etc_.isGet(rng_);
-            std::uint32_t vsize = etc_.sampleValueSize(rng_);
-            std::uint32_t req_bytes =
-                etc_.sampleKeySize(rng_) + (get ? 24 : 24 + vsize);
-            sent[id] = machine.now();
-            fabric_.sendToLocal(NetPacket{
-                id, req_bytes,
-                (static_cast<std::uint64_t>(vsize) << 1) |
-                    (get ? 1 : 0)});
-            // Load-proportional L1-kernel work triggered by serving
-            // this request (vhost bookkeeping on the paired vCPU).
-            double events = housekeepingPerRequest_;
-            while (events >= 1.0 || rng_.chance(events)) {
-                stack_.postL1Housekeeping(housekeepingCost_);
-                events -= 1.0;
-                if (events <= 0)
-                    break;
-            }
-            arm();
-        }, "mutilate-arrival");
-    };
-    arm();
-    scheduleHousekeeping(end);
-
-    // The memcached serving loop in the guest.
-    auto serve_one = [&] {
-        Request req = inbox_.front();
-        inbox_.pop_front();
-        // Parse + hash lookup + LRU bookkeeping + value access.
-        Ticks service = usec(1.6) +
-                        static_cast<Ticks>(req.valueBytes) * psec(40);
-        if (!req.get)
-            service += usec(1.1); // allocation + store
-        api.compute(service);
-        std::uint32_t resp_bytes = req.get ? 28 + req.valueBytes : 28;
-        net_.send(resp_bytes, req.id);
-    };
-    while (machine.now() < end) {
-        if (inbox_.empty()) {
-            GuestOs::idleWait(api, [&] {
-                return !inbox_.empty() || machine.now() >= end;
-            });
-            continue;
-        }
-        serve_one();
-    }
-    // Drain: serve the backlog and wait for in-flight responses so no
-    // event references this invocation's state after it returns.
-    // Requests dropped under overload never complete, so the wait is
-    // bounded by a grace period.
-    while (!inbox_.empty())
-        serve_one();
-    Ticks grace = machine.now() + msec(5);
-    GuestOs::idleWait(api, [&] {
-        while (!inbox_.empty())
-            serve_one();
-        return sent.empty() || machine.now() >= grace;
-    });
-    fabric_.setPeerHandler([](NetPacket) {});
-    net_.setRxHandler([](NetPacket) {});
-
-    MemcachedPoint point;
-    point.offeredQps = qps;
-    point.completed = completed;
-    point.achievedQps =
-        static_cast<double>(completed) / toSec(machine.now() - t0);
-    if (lat.count()) {
-        point.avgUsec = lat.mean();
-        point.p99Usec = lat.p99();
-    }
-    return point;
 }
 
 } // namespace svtsim

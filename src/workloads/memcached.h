@@ -1,21 +1,18 @@
 /**
  * @file
- * memcached + mutilate (Section 6.3.1): a key-value store in the
- * nested guest serving Facebook's ETC workload from an open-loop
- * client on the peer machine; latency measured at the client against
- * a 500 us 99th-percentile SLA.
+ * memcached + mutilate (Section 6.3.1): the ETC request mix and the
+ * load-point record. The server (MemcachedServer) and the mutilate
+ * client (MutilateClient, OpenLoopEtcLoadgen) live in remote_peer.h
+ * and tenant_drivers.h; latency is measured at the client against a
+ * 500 us 99th-percentile SLA.
  */
 
 #ifndef SVTSIM_WORKLOADS_MEMCACHED_H
 #define SVTSIM_WORKLOADS_MEMCACHED_H
 
-#include <deque>
+#include <cstdint>
 
-#include "hv/virt_stack.h"
-#include "io/net_fabric.h"
-#include "io/virtio_net.h"
 #include "sim/random.h"
-#include "stats/summary.h"
 
 namespace svtsim {
 
@@ -47,54 +44,6 @@ struct MemcachedPoint
     double avgUsec = 0;
     double p99Usec = 0;
     std::uint64_t completed = 0;
-};
-
-/**
- * The memcached server (at the stack's top level) plus the mutilate
- * open-loop client on the bare-metal peer.
- */
-class MemcachedBench
-{
-  public:
-    /**
-     * @param l1_housekeeping_rate_hz Background rate of L1-kernel
-     *        housekeeping (scheduler ticks, RCU) interfering with the
-     *        serving vCPU (0 disables).
-     * @param l1_housekeeping_cost Cost of each event.
-     * @param l1_housekeeping_per_request Load-proportional L1 work
-     *        (vhost bookkeeping, irqfd signalling on the paired L1
-     *        vCPU) in events per request. Serviced serially in the
-     *        baseline; overlapped by the SVt-thread in SW SVt.
-     */
-    MemcachedBench(VirtStack &stack, VirtioNetStack &net,
-                   NetFabric &fabric, std::uint64_t seed = 42,
-                   double l1_housekeeping_rate_hz = 1000.0,
-                   Ticks l1_housekeeping_cost = usec(14.5),
-                   double l1_housekeeping_per_request = 0.9);
-
-    /** Run one open-loop load point (Poisson arrivals at @p qps). */
-    MemcachedPoint runLoad(double qps, Ticks duration);
-
-  private:
-    struct Request
-    {
-        std::uint64_t id;
-        bool get;
-        std::uint32_t valueBytes;
-    };
-
-    void scheduleHousekeeping(Ticks end);
-
-    VirtStack &stack_;
-    VirtioNetStack &net_;
-    NetFabric &fabric_;
-    Rng rng_;
-    EtcWorkload etc_;
-    double housekeepingRate_;
-    Ticks housekeepingCost_;
-    double housekeepingPerRequest_;
-    std::deque<Request> inbox_;
-    std::uint64_t nextId_ = 1;
 };
 
 } // namespace svtsim

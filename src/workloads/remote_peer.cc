@@ -33,18 +33,27 @@ NetserverPeer::onRequest(NetPacket pkt)
         break;
       }
       case peerwire::streamTag: {
-        ++streamRxed_;
-        const auto ack_every = peerwire::argOf(pkt.payload);
+        const std::uint32_t conn = peerwire::segmentConnOf(pkt.payload);
+        const std::uint32_t ack_every = peerwire::ackEveryOf(pkt.payload);
         if (ack_every == 0)
             panic("NetserverPeer: STREAM segment with ack_every=0");
+        if (conn != streamConn_) {
+            // Each STREAM run opens a new connection; a straggler of
+            // an older one is dropped.
+            if (conn < streamConn_)
+                break;
+            streamConn_ = conn;
+            streamRxed_ = 0;
+        }
+        ++streamRxed_;
         if (streamRxed_ % ack_every == 0) {
-            // Delayed ack + NIC interrupt moderation, as in the
-            // single-machine peer model.
+            // Delayed ack + NIC interrupt moderation.
             const std::uint64_t acked = streamRxed_;
             machine_.events().scheduleIn(
                 usec(2),
-                [this, acked] {
-                    port_.send(NetPacket{acked, 60, acked});
+                [this, conn, acked] {
+                    port_.send(NetPacket{acked, 60,
+                                         peerwire::streamAck(conn, acked)});
                 },
                 "netserver-ack");
         }
@@ -57,14 +66,14 @@ NetserverPeer::onRequest(NetPacket pkt)
     }
 }
 
-ClusterNetperf::ClusterNetperf(VirtStack &stack, VirtioNetStack &net)
+Netperf::Netperf(VirtStack &stack, VirtioNetStack &net)
     : stack_(stack), net_(net)
 {
 }
 
 NetperfRrResult
-ClusterNetperf::runRr(std::uint32_t req_bytes,
-                      std::uint32_t resp_bytes, int transactions)
+Netperf::runRr(std::uint32_t req_bytes, std::uint32_t resp_bytes,
+               int transactions)
 {
     Machine &machine = stack_.machine();
     GuestApi &api = stack_.api();
@@ -96,23 +105,28 @@ ClusterNetperf::runRr(std::uint32_t req_bytes,
 }
 
 NetperfStreamResult
-ClusterNetperf::runStream(std::uint32_t seg_bytes, Ticks duration,
-                          int window, int ack_every)
+Netperf::runStream(std::uint32_t seg_bytes, Ticks duration,
+                   int window, int ack_every)
 {
     Machine &machine = stack_.machine();
     GuestApi &api = stack_.api();
     if (window < ack_every)
         fatal("netperf stream window must cover the ack interval");
+    if (ack_every <= 0 || ack_every > peerwire::maxAckEvery)
+        fatal("netperf stream ack interval out of range");
 
+    const std::uint32_t conn = ++streamConns_;
     std::uint64_t acked = 0;
     net_.setRxHandler([&](NetPacket pkt) {
-        // Cumulative acknowledgement from the remote netserver.
-        if (pkt.payload > acked)
-            acked = pkt.payload;
+        // Cumulative acknowledgement from the remote netserver; acks
+        // of an earlier run's connection are ignored.
+        if (peerwire::ackConnOf(pkt.payload) == conn &&
+            peerwire::ackedOf(pkt.payload) > acked)
+            acked = peerwire::ackedOf(pkt.payload);
     });
 
     const std::uint64_t payload = peerwire::streamSegment(
-        static_cast<std::uint32_t>(ack_every));
+        static_cast<std::uint32_t>(ack_every), conn);
     Ticks end = machine.now() + duration;
     std::uint64_t sent = 0;
     while (machine.now() < end) {
@@ -151,18 +165,7 @@ MutilateClient::runLoad(double qps, Ticks duration)
     OpenLoopEtcLoadgen gen(machine_, seed_);
     gen.addFlow(port_, qps);
     gen.run(duration);
-
-    const OpenLoopEtcLoadgen::FlowStats &flow = gen.flow(0);
-    MemcachedPoint point;
-    point.offeredQps = qps;
-    point.completed = flow.completed;
-    point.achievedQps = static_cast<double>(flow.completed) /
-                        toSec(machine_.now() - t0);
-    if (flow.latency.count()) {
-        point.avgUsec = flow.latency.mean();
-        point.p99Usec = flow.latency.p99();
-    }
-    return point;
+    return gen.point(0, t0);
 }
 
 MemcachedServer::MemcachedServer(VirtStack &stack, VirtioNetStack &net,
@@ -254,6 +257,19 @@ MemcachedServer::serveUntil(Ticks end)
     });
     net_.setRxHandler([](NetPacket) {});
     return served;
+}
+
+MemcachedPoint
+MemcachedServer::serveLocalLoad(NetPort &client_port, double qps,
+                                Ticks duration)
+{
+    Machine &machine = stack_.machine();
+    OpenLoopEtcLoadgen gen(machine, 42);
+    gen.addFlow(client_port, qps);
+    const Ticks t0 = machine.now();
+    serveUntil(gen.start(duration));
+    gen.stop();
+    return gen.point(0, t0);
 }
 
 } // namespace svtsim

@@ -1,51 +1,62 @@
 /**
  * @file
- * Bare-metal peer machines for the cluster benches.
+ * The paper's bare-metal peers (Table 4's second box) and the guest
+ * workloads that talk to them, all written against NetPort. A peer
+ * attaches to a NetPort end: fabric.peer() when it shares the
+ * device-under-test's Machine (the single-machine benches), or a
+ * CrossLink end when it is a real second Machine on the parallel
+ * cluster engine. The timing structure is the same either way: a
+ * request sent at t arrives at t + serialization + latency, the peer
+ * turns it around, and the response lands after its own
+ * serialization + latency.
  *
- * The classic single-machine benches model the netperf/mutilate peer
- * as event handlers on the *same* EventQueue (NetFabric's far end).
- * These classes are the same peers promoted to real second Machines
- * driven through a CrossLink, for the parallel cluster engine:
- *
- *  - NetserverPeer  — fig7's netserver on a VirtMode::Native machine;
- *    purely event-driven (no driver thread needed), it reacts to
- *    tagged request packets: RR requests are echoed after the peer
- *    turnaround time, STREAM segments are acknowledged cumulatively.
- *  - ClusterNetperf — the netperf client in the guest, identical to
- *    Netperf except the peer lives across a CrossLink, so requests
- *    carry a wire tag telling the remote netserver what to do.
+ *  - NetserverPeer  — fig7's netserver; purely event-driven (no
+ *    driver thread needed), it reacts to tagged request packets: RR
+ *    requests are echoed after the peer turnaround time, STREAM
+ *    segments are acknowledged cumulatively per connection.
+ *  - Netperf        — the netperf client in the guest (Section 6.2
+ *    TCP_RR / TCP_STREAM); requests carry a wire tag telling the
+ *    netserver what to do.
  *  - MutilateClient — fig8's open-loop load generator on a Native
  *    machine (a synchronous cluster driver: arrivals are events, the
  *    driver just idles the machine to the end of the run).
- *  - MemcachedServer — fig8's serving loop alone (the client half of
- *    MemcachedBench removed); a synchronous cluster driver on the
- *    virtualized machine.
- *
- * The timing structure is identical to the NetFabric versions: a
- * request sent at t arrives at t + serialization + latency, the peer
- * turns it around, and the response lands after its own
- * serialization + latency. Only the event-queue *ownership* moved.
+ *  - MemcachedServer — fig8's in-guest serving loop plus the L1-kernel
+ *    housekeeping interference (Section 6.3.1).
  */
 
 #ifndef SVTSIM_WORKLOADS_REMOTE_PEER_H
 #define SVTSIM_WORKLOADS_REMOTE_PEER_H
 
 #include <cstdint>
+#include <deque>
 
 #include "hv/virt_stack.h"
 #include "io/net_port.h"
 #include "io/virtio_net.h"
 #include "sim/random.h"
 #include "workloads/memcached.h"
-#include "workloads/netperf.h"
 
 namespace svtsim {
 
+/** Result of a request/response (TCP_RR) run. */
+struct NetperfRrResult
+{
+    double meanUsec = 0;
+    double p99Usec = 0;
+    std::uint64_t transactions = 0;
+};
+
+/** Result of a bulk-transfer (TCP_STREAM) run. */
+struct NetperfStreamResult
+{
+    double mbps = 0;
+    std::uint64_t segments = 0;
+};
+
 /**
- * Wire tags for cross-machine netperf requests. The top byte of the
- * packet payload selects the peer behavior; the low bits carry the
- * request parameter. (The single-machine Netperf needs no tags — its
- * peer handler is installed per run.)
+ * Wire tags for netperf requests. The top byte of the packet payload
+ * selects the peer behavior; the low bits carry the request
+ * parameter.
  */
 namespace peerwire {
 
@@ -59,11 +70,24 @@ rrRequest(std::uint32_t resp_bytes)
     return (rrTag << 56) | resp_bytes;
 }
 
-/** STREAM segment: the peer acks every @p ack_every segments. */
+/** Largest STREAM ack interval a segment can carry (24 bits). */
+constexpr int maxAckEvery = (1 << 24) - 1;
+
+/**
+ * STREAM segment of connection @p conn (netperf opens one per run):
+ * the peer acks every @p ack_every segments of that connection.
+ */
 inline std::uint64_t
-streamSegment(std::uint32_t ack_every)
+streamSegment(std::uint32_t ack_every, std::uint32_t conn)
 {
-    return (streamTag << 56) | ack_every;
+    return (streamTag << 56) | (std::uint64_t{conn} << 24) | ack_every;
+}
+
+/** The peer's cumulative ack of @p segments on connection @p conn. */
+inline std::uint64_t
+streamAck(std::uint32_t conn, std::uint64_t segments)
+{
+    return (std::uint64_t{conn} << 32) | segments;
 }
 
 inline std::uint64_t
@@ -78,12 +102,37 @@ argOf(std::uint64_t payload)
     return payload & ((std::uint64_t{1} << 56) - 1);
 }
 
+inline std::uint32_t
+segmentConnOf(std::uint64_t segment)
+{
+    return static_cast<std::uint32_t>(argOf(segment) >> 24);
+}
+
+inline std::uint32_t
+ackEveryOf(std::uint64_t segment)
+{
+    return static_cast<std::uint32_t>(segment & maxAckEvery);
+}
+
+inline std::uint32_t
+ackConnOf(std::uint64_t ack)
+{
+    return static_cast<std::uint32_t>(ack >> 32);
+}
+
+inline std::uint64_t
+ackedOf(std::uint64_t ack)
+{
+    return ack & 0xffffffffu;
+}
+
 } // namespace peerwire
 
 /**
  * The netserver process on a bare-metal peer machine. Install it on
- * the peer's end of the CrossLink; it needs no cluster driver (every
- * reaction is an event on the peer's own queue).
+ * the peer's NetPort end (fabric.peer() or a CrossLink end); it needs
+ * no cluster driver (every reaction is an event on the peer's own
+ * queue).
  */
 class NetserverPeer
 {
@@ -99,25 +148,34 @@ class NetserverPeer
     Machine &machine_;
     NetPort &port_;
     std::uint64_t received_ = 0;
-    /** STREAM segments seen (the cumulative-ack counter). */
+    /** The current STREAM connection and its segment count (the
+     *  cumulative-ack counter). */
+    std::uint32_t streamConn_ = 0;
     std::uint64_t streamRxed_ = 0;
 };
 
 /**
- * The netperf client in the guest, peered with a NetserverPeer across
- * a CrossLink. Run from the client machine's cluster driver.
+ * The netperf client in the guest, peered with a NetserverPeer on the
+ * far end of the VirtioNetStack's wire. Synchronous: call from the
+ * client machine's driver.
  */
-class ClusterNetperf
+class Netperf
 {
   public:
-    ClusterNetperf(VirtStack &stack, VirtioNetStack &net);
+    Netperf(VirtStack &stack, VirtioNetStack &net);
 
-    /** TCP_RR against the remote netserver (see Netperf::runRr). */
+    /**
+     * TCP_RR: @p transactions request/response rounds of
+     * @p req_bytes / @p resp_bytes (plus one unmeasured warm-up).
+     */
     NetperfRrResult runRr(std::uint32_t req_bytes,
                           std::uint32_t resp_bytes, int transactions);
 
-    /** TCP_STREAM against the remote netserver (see
-     *  Netperf::runStream). */
+    /**
+     * TCP_STREAM: transmit @p seg_bytes segments for @p duration with
+     * a send window of @p window segments; the peer acknowledges
+     * every @p ack_every segments (delayed-ack + NIC coalescing).
+     */
     NetperfStreamResult runStream(std::uint32_t seg_bytes,
                                   Ticks duration, int window = 128,
                                   int ack_every = 16);
@@ -125,6 +183,8 @@ class ClusterNetperf
   private:
     VirtStack &stack_;
     VirtioNetStack &net_;
+    /** STREAM runs so far; each run is connection streamConns_. */
+    std::uint32_t streamConns_ = 0;
 };
 
 /**
@@ -155,17 +215,22 @@ class MutilateClient
 };
 
 /**
- * The memcached serving half of MemcachedBench alone: the in-guest
- * serving loop plus the L1-kernel housekeeping interference. The
- * load-proportional housekeeping (vhost bookkeeping on the paired L1
- * vCPU) is posted when a request is *received* — in the single-machine
- * model it was posted at the client's send, which is the same tick
- * stream shifted by the wire.
+ * The in-guest memcached serving loop plus the L1-kernel housekeeping
+ * interference. The load-proportional housekeeping (vhost bookkeeping
+ * on the paired L1 vCPU) is posted when a request is received.
  */
 class MemcachedServer
 {
   public:
-    /** Parameter semantics match MemcachedBench. */
+    /**
+     * @param l1_housekeeping_rate_hz Background rate of L1-kernel
+     *        housekeeping (scheduler ticks, RCU) interfering with the
+     *        serving vCPU (0 disables).
+     * @param l1_housekeeping_cost Cost of each event.
+     * @param l1_housekeeping_per_request Load-proportional L1 work in
+     *        events per request. Serviced serially in the baseline;
+     *        overlapped by the SVt-thread in SW SVt.
+     */
     MemcachedServer(VirtStack &stack, VirtioNetStack &net,
                     std::uint64_t seed = 42,
                     double l1_housekeeping_rate_hz = 1000.0,
@@ -178,6 +243,15 @@ class MemcachedServer
      * server machine's cluster driver. Returns requests served.
      */
     std::uint64_t serveUntil(Ticks end);
+
+    /**
+     * Single-machine memcached: serve one open-loop mutilate flow
+     * (OpenLoopEtcLoadgen seeded 42, like MutilateClient) offering
+     * @p qps for @p duration from @p client_port, the far end of this
+     * server's wire on the same Machine (NetFabric::peer()).
+     */
+    MemcachedPoint serveLocalLoad(NetPort &client_port, double qps,
+                                  Ticks duration);
 
   private:
     struct Request

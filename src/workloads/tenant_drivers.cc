@@ -42,8 +42,8 @@ OpenLoopEtcLoadgen::arm(Flow &flow, Ticks end)
     }, "mutilate-arrival");
 }
 
-void
-OpenLoopEtcLoadgen::run(Ticks duration, Ticks grace)
+Ticks
+OpenLoopEtcLoadgen::start(Ticks duration)
 {
     Machine &m = machine_;
     const Ticks end = m.now() + duration;
@@ -59,15 +59,44 @@ OpenLoopEtcLoadgen::run(Ticks duration, Ticks grace)
         });
         arm(flow, end);
     }
+    return end;
+}
+
+void
+OpenLoopEtcLoadgen::stop()
+{
+    for (auto &flowp : flows_)
+        flowp->port.setReceiveHandler([](NetPacket) {});
+}
+
+void
+OpenLoopEtcLoadgen::run(Ticks duration, Ticks grace)
+{
+    Machine &m = machine_;
     // Idle through the run plus the drain grace (requests dropped
     // under overload never complete; the grace bounds the wait).
     // Under a cluster gate idleUntil can return early at an epoch
     // boundary, so loop until the clock really arrives.
-    const Ticks drained = end + grace;
+    const Ticks drained = start(duration) + grace;
     while (m.now() < drained)
         m.idleUntil(drained);
-    for (auto &flowp : flows_)
-        flowp->port.setReceiveHandler([](NetPacket) {});
+    stop();
+}
+
+MemcachedPoint
+OpenLoopEtcLoadgen::point(int i, Ticks t0) const
+{
+    const FlowStats &flow = flows_[i]->stats;
+    MemcachedPoint point;
+    point.offeredQps = flows_[i]->qps;
+    point.completed = flow.completed;
+    point.achievedQps = static_cast<double>(flow.completed) /
+                        toSec(machine_.now() - t0);
+    if (flow.latency.count()) {
+        point.avgUsec = flow.latency.mean();
+        point.p99Usec = flow.latency.p99();
+    }
+    return point;
 }
 
 } // namespace svtsim

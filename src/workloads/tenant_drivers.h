@@ -1,7 +1,8 @@
 /**
  * @file
  * Multi-flow open-loop ETC load generator: the fleet's memcached
- * tenants, and fig8's MutilateClient as a single flow.
+ * tenants, and a single flow for fig8's MutilateClient and for
+ * MemcachedServer::serveLocalLoad.
  *
  * A memcached tenant in the fleet owns one bare-metal loadgen machine
  * fanned out over one CrossLink per serving slot (the cluster_speed
@@ -29,7 +30,8 @@ namespace svtsim {
 
 /**
  * N open-loop ETC flows on one bare-metal machine. Add one flow per
- * serving slot, then call run() from the machine's cluster driver.
+ * serving slot, then call run() from the machine's cluster driver (or
+ * start()/stop() around a server running on the same machine).
  */
 class OpenLoopEtcLoadgen
 {
@@ -49,15 +51,29 @@ class OpenLoopEtcLoadgen
     int addFlow(NetPort &port, double qps);
 
     /**
-     * Offer every flow's load for @p duration (from the machine's
-     * current clock), then idle through @p grace to drain in-flight
-     * responses. Synchronous: call from the loadgen machine's cluster
-     * driver. Receive handlers are cleared on return.
+     * Install every flow's receive handler and arm its arrivals for
+     * @p duration from the machine's current clock. Returns the
+     * absolute end of the offered load. Use when another driver (a
+     * MemcachedServer on the same machine) runs the clock; call
+     * stop() once it is done.
+     */
+    Ticks start(Ticks duration);
+
+    /** Clear every flow's receive handler. */
+    void stop();
+
+    /**
+     * start(@p duration), idle through the run plus @p grace to drain
+     * in-flight responses, then stop(). Synchronous: call from the
+     * loadgen machine's cluster driver.
      */
     void run(Ticks duration, Ticks grace = msec(5));
 
     int flowCount() const { return static_cast<int>(flows_.size()); }
     const FlowStats &flow(int i) const { return flows_[i]->stats; }
+
+    /** Flow @p i as a load point measured from @p t0 to now. */
+    MemcachedPoint point(int i, Ticks t0) const;
 
   private:
     struct Flow

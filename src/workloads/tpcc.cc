@@ -33,7 +33,7 @@ Tpcc::Tpcc(VirtStack &stack, VirtioNetStack &net, NetFabric &fabric,
            VirtioBlkStack &blk, std::uint64_t seed,
            double l1_housekeeping_per_statement,
            Ticks l1_housekeeping_cost, double cpu_scale)
-    : stack_(stack), net_(net), fabric_(fabric), blk_(blk), rng_(seed),
+    : stack_(stack), net_(net), peer_(fabric.peer()), blk_(blk), rng_(seed),
       housekeepingPerStatement_(l1_housekeeping_per_statement),
       housekeepingCost_(l1_housekeeping_cost), cpuScale_(cpu_scale)
 {
@@ -73,7 +73,7 @@ Tpcc::run(Ticks duration)
 
     auto client_send_statement = [&] {
         std::uint64_t id = next_query_id++;
-        fabric_.sendToLocal(NetPacket{id, 180, 0});
+        peer_.send(NetPacket{id, 180, 0});
         // Load-proportional L1-kernel work triggered by this
         // statement's I/O (vhost bookkeeping on the paired vCPU).
         double events = housekeepingPerStatement_;
@@ -102,7 +102,7 @@ Tpcc::run(Ticks duration)
     // no-op instead of touching a dead frame.
     auto alive = std::make_shared<bool>(true);
 
-    fabric_.setPeerHandler([&](NetPacket) {
+    peer_.setReceiveHandler([&](NetPacket) {
         // A statement response arrived at the client.
         --client.remaining_statements;
         if (client.remaining_statements > 0) {
@@ -195,7 +195,7 @@ Tpcc::run(Ticks duration)
     result.meanTxnMsec = txn_ms.mean();
     // Detach handlers from this invocation's state.
     *alive = false;
-    fabric_.setPeerHandler([](NetPacket) {});
+    peer_.setReceiveHandler([](NetPacket) {});
     net_.setRxHandler([](NetPacket) {});
     blk_.setCompletionHandler([](std::uint64_t) {});
     return result;

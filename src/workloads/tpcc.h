@@ -51,6 +51,9 @@ class Tpcc
 {
   public:
     /**
+     * @param fabric The wire @p net plugs into; the client attaches to
+     *        its far end (NetFabric::peer()), on the server's Machine,
+     *        because it posts L1 housekeeping on @p stack at send time.
      * @param l1_housekeeping_per_statement Load-proportional L1-kernel
      *        work (vhost bookkeeping on the paired vCPU) per statement;
      *        serial in the baseline, overlapped under SW SVt.
@@ -73,7 +76,7 @@ class Tpcc
   private:
     VirtStack &stack_;
     VirtioNetStack &net_;
-    NetFabric &fabric_;
+    NetPort &peer_;
     VirtioBlkStack &blk_;
     Rng rng_;
     double housekeepingPerStatement_;

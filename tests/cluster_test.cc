@@ -324,7 +324,7 @@ nestedRrFingerprint(int jobs, VirtMode mode)
 
     VirtioNetStack net(cluster.system(c).stack(), link.port(0));
     NetserverPeer peer(cluster.machine(p), link.port(1));
-    ClusterNetperf netperf(cluster.system(c).stack(), net);
+    Netperf netperf(cluster.system(c).stack(), net);
 
     NetperfRrResult rr;
     cluster.setDriver(c, [&](NestedSystem &) {

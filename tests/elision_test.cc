@@ -323,8 +323,9 @@ TEST(MultiQueueVirtio, CompletionsStayFifoWithinEachQueue)
     std::vector<bool> seen(4, false);
     for (std::uint64_t id : order) {
         auto q = static_cast<std::size_t>(id % 4);
-        if (seen[q])
+        if (seen[q]) {
             EXPECT_LT(last[q], id) << "queue " << q << " reordered";
+        }
         last[q] = id;
         seen[q] = true;
     }
@@ -371,10 +372,10 @@ TEST(MultiQueueVirtio, NetEchoAcrossTwoQueues)
                      sys.machine().costs().linkBitsPerSec);
     VirtioNetStack net(sys.stack(), fabric);
     ASSERT_EQ(net.queues(), 2);
-    fabric.setPeerHandler([&](NetPacket pkt) {
+    fabric.peer().setReceiveHandler([&](NetPacket pkt) {
         sys.machine().events().scheduleIn(
             sys.machine().costs().remotePeerTurnaround,
-            [&fabric, pkt] { fabric.sendToLocal(pkt); });
+            [&fabric, pkt] { fabric.peer().send(pkt); });
     });
     int got = 0;
     net.setRxHandler([&](NetPacket) { ++got; });

@@ -101,9 +101,9 @@ TEST(FabricProperty, EveryPacketArrivesExactlyOnceInOrder)
     Machine machine(MachineTopology{1, 1, 2});
     NetFabric fabric(machine, usec(3), 10e9);
     std::vector<std::uint64_t> to_peer, to_local;
-    fabric.setPeerHandler(
+    fabric.peer().setReceiveHandler(
         [&](NetPacket p) { to_peer.push_back(p.id); });
-    fabric.setLocalHandler(
+    fabric.setReceiveHandler(
         [&](NetPacket p) { to_local.push_back(p.id); });
 
     std::vector<std::uint64_t> sent_peer, sent_local;
@@ -113,10 +113,10 @@ TEST(FabricProperty, EveryPacketArrivesExactlyOnceInOrder)
                           64 + rng.below(9000)),
                       0};
         if (rng.chance(0.5)) {
-            fabric.sendToPeer(pkt);
+            fabric.send(pkt);
             sent_peer.push_back(pkt.id);
         } else {
-            fabric.sendToLocal(pkt);
+            fabric.peer().send(pkt);
             sent_local.push_back(pkt.id);
         }
         if (rng.chance(0.3))
@@ -136,11 +136,10 @@ TEST(FabricProperty, ArrivalSpacingRespectsSerialization)
     Machine machine(MachineTopology{1, 1, 2});
     NetFabric fabric(machine, usec(5), 10e9);
     std::vector<Ticks> arrivals;
-    fabric.setPeerHandler(
+    fabric.peer().setReceiveHandler(
         [&](NetPacket) { arrivals.push_back(machine.now()); });
     for (int i = 0; i < 50; ++i)
-        fabric.sendToPeer(NetPacket{static_cast<std::uint64_t>(i),
-                                    16384, 0});
+        fabric.send(NetPacket{static_cast<std::uint64_t>(i), 16384, 0});
     machine.events().advanceBy(msec(20));
     Ticks min_gap = fabric.serialization(16384);
     for (std::size_t i = 1; i < arrivals.size(); ++i)

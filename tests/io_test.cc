@@ -117,8 +117,8 @@ TEST_F(FabricTest, DeliversAfterLatencyAndSerialization)
 {
     NetFabric fabric(machine, usec(5), 10e9);
     std::vector<NetPacket> got;
-    fabric.setPeerHandler([&](NetPacket p) { got.push_back(p); });
-    fabric.sendToPeer(NetPacket{1, 1, 0});
+    fabric.peer().setReceiveHandler([&](NetPacket p) { got.push_back(p); });
+    fabric.send(NetPacket{1, 1, 0});
     Ticks expected = machine.now() + fabric.serialization(1) + usec(5);
     machine.events().advanceTo(expected - 1);
     EXPECT_TRUE(got.empty());
@@ -133,18 +133,20 @@ TEST_F(FabricTest, SerializationMatchesLineRate)
     // 16 KB + framing at 10 Gb/s ~= 12.9 us.
     Ticks t = fabric.serialization(16384);
     EXPECT_NEAR(toUsec(t), (16384 + 78) * 8.0 / 10e9 * 1e6, 0.01);
+    // Both ends of the wire serialize at the same rate.
+    EXPECT_EQ(fabric.peer().serialization(16384), t);
 }
 
 TEST_F(FabricTest, BackToBackPacketsQueueOnTheLink)
 {
     NetFabric fabric(machine, 0, 10e9);
     std::vector<Ticks> arrivals;
-    fabric.setPeerHandler(
+    fabric.peer().setReceiveHandler(
         [&](NetPacket) { arrivals.push_back(machine.now()); });
     // Two full-size segments sent at the same instant: the second
     // serializes after the first.
-    fabric.sendToPeer(NetPacket{1, 16384, 0});
-    fabric.sendToPeer(NetPacket{2, 16384, 0});
+    fabric.send(NetPacket{1, 16384, 0});
+    fabric.send(NetPacket{2, 16384, 0});
     machine.events().advanceTo(msec(1));
     ASSERT_EQ(arrivals.size(), 2u);
     EXPECT_EQ(arrivals[1] - arrivals[0], fabric.serialization(16384));
@@ -154,10 +156,10 @@ TEST_F(FabricTest, DirectionsAreIndependent)
 {
     NetFabric fabric(machine, usec(1), 10e9);
     int to_peer = 0, to_local = 0;
-    fabric.setPeerHandler([&](NetPacket) { ++to_peer; });
-    fabric.setLocalHandler([&](NetPacket) { ++to_local; });
-    fabric.sendToPeer(NetPacket{1, 100, 0});
-    fabric.sendToLocal(NetPacket{2, 100, 0});
+    fabric.peer().setReceiveHandler([&](NetPacket) { ++to_peer; });
+    fabric.setReceiveHandler([&](NetPacket) { ++to_local; });
+    fabric.send(NetPacket{1, 100, 0});
+    fabric.peer().send(NetPacket{2, 100, 0});
     machine.events().advanceTo(msec(1));
     EXPECT_EQ(to_peer, 1);
     EXPECT_EQ(to_local, 1);
@@ -168,7 +170,8 @@ TEST_F(FabricTest, DirectionsAreIndependent)
 TEST_F(FabricTest, NoReceiverPanics)
 {
     NetFabric fabric(machine, 0, 10e9);
-    EXPECT_THROW(fabric.sendToPeer(NetPacket{}), PanicError);
+    EXPECT_THROW(fabric.send(NetPacket{}), PanicError);
+    EXPECT_THROW(fabric.peer().send(NetPacket{}), PanicError);
 }
 
 TEST_F(FabricTest, InvalidRateRejected)
@@ -240,10 +243,10 @@ struct NetRig
           net(sys.stack(), fabric)
     {
         // Bare-metal peer: echo after the turnaround time.
-        fabric.setPeerHandler([this](NetPacket pkt) {
+        fabric.peer().setReceiveHandler([this](NetPacket pkt) {
             sys.machine().events().scheduleIn(
                 sys.machine().costs().remotePeerTurnaround,
-                [this, pkt] { fabric.sendToLocal(pkt); });
+                [this, pkt] { fabric.peer().send(pkt); });
         });
     }
 

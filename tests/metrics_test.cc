@@ -207,8 +207,8 @@ TEST(MetricsPmu, NestedExitReasonsAccrueUnderExitScopes)
         VirtioNetStack net(sys.stack(), fabric);
         RamDisk disk(m, "d");
         VirtioBlkStack blk(sys.stack(), disk);
-        fabric.setPeerHandler(
-            [&](NetPacket pkt) { fabric.sendToLocal(pkt); });
+        fabric.peer().setReceiveHandler(
+            [&](NetPacket pkt) { fabric.peer().send(pkt); });
         int rx = 0;
         net.setRxHandler([&](NetPacket) { ++rx; });
         bool io_done = false;

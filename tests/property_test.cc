@@ -70,9 +70,9 @@ mixedWorkloadRun(VirtMode mode, std::uint64_t seed)
     NetFabric fabric(machine, machine.costs().wireLatency,
                      machine.costs().linkBitsPerSec);
     VirtioNetStack net(stack, fabric);
-    fabric.setPeerHandler([&](NetPacket pkt) {
+    fabric.peer().setReceiveHandler([&](NetPacket pkt) {
         machine.events().scheduleIn(usec(3), [&fabric, pkt] {
-            fabric.sendToLocal(pkt);
+            fabric.peer().send(pkt);
         });
     });
     RamDisk disk(machine, "d");

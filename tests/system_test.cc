@@ -142,8 +142,8 @@ TEST(System, FullIoStackRunsInEveryNestedMode)
         RamDisk disk(sys.machine(), "d");
         VirtioBlkStack blk(sys.stack(), disk);
 
-        fabric.setPeerHandler([&](NetPacket pkt) {
-            fabric.sendToLocal(pkt);
+        fabric.peer().setReceiveHandler([&](NetPacket pkt) {
+            fabric.peer().send(pkt);
         });
         int rx = 0;
         net.setRxHandler([&](NetPacket) { ++rx; });
@@ -169,8 +169,8 @@ TEST(System, ExitProfileMatchesSection62Shape)
     NetFabric fabric(sys.machine(), sys.machine().costs().wireLatency,
                      sys.machine().costs().linkBitsPerSec);
     VirtioNetStack net(sys.stack(), fabric);
-    fabric.setPeerHandler(
-        [&](NetPacket pkt) { fabric.sendToLocal(pkt); });
+    fabric.peer().setReceiveHandler(
+        [&](NetPacket pkt) { fabric.peer().send(pkt); });
     int rx = 0;
     net.setRxHandler([&](NetPacket) { ++rx; });
     for (int i = 0; i < 10; ++i) {

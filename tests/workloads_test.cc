@@ -6,16 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include "io/net_fabric.h"
 #include "io/ramdisk.h"
 #include "io/virtio_blk.h"
 #include "io/virtio_net.h"
 #include "sim/log.h"
+#include "system/cluster_spec.h"
 #include "system/nested_system.h"
 #include "workloads/diskbench.h"
 #include "workloads/guest_os.h"
-#include "workloads/memcached.h"
 #include "workloads/microbench.h"
-#include "workloads/netperf.h"
+#include "workloads/remote_peer.h"
+#include "workloads/tenant_drivers.h"
 #include "workloads/tpcc.h"
 #include "workloads/video.h"
 
@@ -108,19 +110,23 @@ TEST(Etc, KeySizesInRange)
 
 // -------------------------------------------------------------- netperf
 
+/** netperf in the guest, netserver on the far end of the same
+ *  machine's wire. */
 struct NetRig
 {
     explicit NetRig(VirtMode mode)
         : sys(mode),
           fabric(sys.machine(), sys.machine().costs().wireLatency,
                  sys.machine().costs().linkBitsPerSec),
-          net(sys.stack(), fabric), netperf(sys.stack(), net, fabric)
+          net(sys.stack(), fabric), peer(sys.machine(), fabric.peer()),
+          netperf(sys.stack(), net)
     {
     }
 
     NestedSystem sys;
     NetFabric fabric;
     VirtioNetStack net;
+    NetserverPeer peer;
     Netperf netperf;
 };
 
@@ -159,10 +165,24 @@ TEST(Netperf, StreamApproachesLineRate)
     EXPECT_GT(r.segments, 1000u);
 }
 
+TEST(Netperf, StreamRunsRepeatOnOnePeer)
+{
+    // Each run is its own connection: the second run's acks count
+    // only its own segments, so it cannot report more than the first
+    // (whose tail still occupies the wire when the second starts).
+    NetRig rig(VirtMode::Nested);
+    auto a = rig.netperf.runStream(16384, msec(25));
+    auto b = rig.netperf.runStream(16384, msec(25));
+    EXPECT_LE(b.segments, a.segments);
+    EXPECT_GT(b.mbps, 8000.0);
+}
+
 TEST(Netperf, StreamWindowValidation)
 {
     NetRig rig(VirtMode::Nested);
     EXPECT_THROW(rig.netperf.runStream(16384, msec(1), 4, 8),
+                 FatalError);
+    EXPECT_THROW(rig.netperf.runStream(16384, msec(1), 4, 0),
                  FatalError);
 }
 
@@ -227,27 +247,34 @@ TEST(Fio, BackToBackRunsAreClean)
 
 // ------------------------------------------------------------ memcached
 
+/** memcached in the guest, one mutilate flow on the far end of the
+ *  same machine's wire. */
 struct McRig
 {
     explicit McRig(VirtMode mode)
         : sys(mode),
           fabric(sys.machine(), sys.machine().costs().wireLatency,
                  sys.machine().costs().linkBitsPerSec),
-          net(sys.stack(), fabric),
-          bench(sys.stack(), net, fabric)
+          net(sys.stack(), fabric), server(sys.stack(), net)
     {
+    }
+
+    MemcachedPoint
+    runLoad(double qps, Ticks duration)
+    {
+        return server.serveLocalLoad(fabric.peer(), qps, duration);
     }
 
     NestedSystem sys;
     NetFabric fabric;
     VirtioNetStack net;
-    MemcachedBench bench;
+    MemcachedServer server;
 };
 
 TEST(Memcached, LowLoadLatencyIsSane)
 {
     McRig rig(VirtMode::Nested);
-    auto p = rig.bench.runLoad(2000, msec(60));
+    auto p = rig.runLoad(2000, msec(60));
     EXPECT_GT(p.completed, 60u);
     EXPECT_GT(p.avgUsec, 50.0);
     EXPECT_LT(p.avgUsec, 500.0);
@@ -258,8 +285,8 @@ TEST(Memcached, LatencyGrowsWithLoad)
 {
     McRig low(VirtMode::Nested);
     McRig high(VirtMode::Nested);
-    auto a = low.bench.runLoad(2000, msec(60));
-    auto b = high.bench.runLoad(12000, msec(60));
+    auto a = low.runLoad(2000, msec(60));
+    auto b = high.runLoad(12000, msec(60));
     EXPECT_GT(b.p99Usec, a.p99Usec);
 }
 
@@ -267,8 +294,8 @@ TEST(Memcached, SvtReducesTailLatency)
 {
     McRig base(VirtMode::Nested);
     McRig svt(VirtMode::SwSvt);
-    auto a = base.bench.runLoad(10000, msec(80));
-    auto b = svt.bench.runLoad(10000, msec(80));
+    auto a = base.runLoad(10000, msec(80));
+    auto b = svt.runLoad(10000, msec(80));
     EXPECT_LT(b.p99Usec, a.p99Usec);
     EXPECT_LT(b.avgUsec, a.avgUsec);
 }
@@ -277,8 +304,8 @@ TEST(Memcached, HousekeepingIsOverlappedOnlyUnderSwSvt)
 {
     McRig base(VirtMode::Nested);
     McRig svt(VirtMode::SwSvt);
-    base.bench.runLoad(6000, msec(30));
-    svt.bench.runLoad(6000, msec(30));
+    base.runLoad(6000, msec(30));
+    svt.runLoad(6000, msec(30));
     EXPECT_GT(base.sys.machine().counter("l1.housekeeping.serial"),
               0u);
     EXPECT_EQ(base.sys.machine().counter("l1.housekeeping.overlapped"),
@@ -286,6 +313,41 @@ TEST(Memcached, HousekeepingIsOverlappedOnlyUnderSwSvt)
     EXPECT_GT(svt.sys.machine().counter("l1.housekeeping.overlapped"),
               0u);
     EXPECT_EQ(svt.sys.machine().counter("l1.housekeeping.serial"), 0u);
+}
+
+TEST(OpenLoopEtcLoadgen, ArrivalStreamIndependentOfTransport)
+{
+    // The arrival stream is a pure function of the flow seed: the
+    // same flow offers the same requests whether it sits on the far
+    // end of one machine's NetFabric or across a CrossLink pair.
+    const double qps = 10000;
+    const Ticks duration = msec(250);
+
+    McRig rig(VirtMode::Nested);
+    OpenLoopEtcLoadgen local(rig.sys.machine(), 42);
+    local.addFlow(rig.fabric.peer(), qps);
+    rig.server.serveUntil(local.start(duration));
+    local.stop();
+
+    ClusterBuild b = ClusterSpec()
+                         .machine("server", VirtMode::Nested)
+                         .machine("client", VirtMode::Native)
+                         .link("server", "client")
+                         .realize(1);
+    VirtioNetStack net(b.stack("server"), b.port("server", "client"));
+    MemcachedServer server(b.stack("server"), net);
+    OpenLoopEtcLoadgen remote(b.machine("client"), 42);
+    remote.addFlow(b.port("client", "server"), qps);
+    b.driver("server",
+             [&](NestedSystem &) { server.serveUntil(duration); });
+    b.driver("client",
+             [&](NestedSystem &) { remote.run(duration); });
+    b.run(1);
+
+    EXPECT_GT(local.flow(0).sent, 2000u);
+    EXPECT_EQ(local.flow(0).sent, remote.flow(0).sent);
+    EXPECT_GT(local.flow(0).completed, 0u);
+    EXPECT_GT(remote.flow(0).completed, 0u);
 }
 
 // ----------------------------------------------------------------- tpcc
