@@ -1,7 +1,7 @@
 /**
  * @file
- * Discrete-event core: EventQueue and the Clock view used by the
- * synchronous execution model.
+ * Discrete-event core: the EventQueue behind the synchronous
+ * execution model.
  *
  * The simulator mixes two styles:
  *
@@ -11,7 +11,7 @@
  *    descriptor) that synchronous code observes later.
  *
  *  - Synchronous code (guest programs, hypervisor exit handlers)
- *    consumes modeled time via Clock::consume(). Consuming time runs
+ *    consumes modeled time via Machine::consume(). Consuming time runs
  *    every event whose timestamp is passed, in order, so device
  *    completions and interrupts appear at the right simulated instant.
  *
@@ -73,8 +73,8 @@ using EventId = std::uint64_t;
  * below its current horizon: it may fire events with timestamp
  * < horizon and move now() up to (but never onto) the horizon. An
  * advance that needs to cross the horizon drains everything below it
- * and then calls awaitHorizon(), which blocks the calling thread at
- * the cluster barrier until a larger horizon is granted.
+ * and then calls awaitHorizon(), which suspends the caller (the
+ * cluster engine's driver fiber) until a larger horizon is granted.
  */
 class AdvanceGate
 {
@@ -82,9 +82,9 @@ class AdvanceGate
     virtual ~AdvanceGate() = default;
 
     /**
-     * Called on the advancing thread once everything below the
-     * current horizon has fired and the advance wants to continue to
-     * @p target. Blocks until more time is granted.
+     * Called by the advancing code once everything below the current
+     * horizon has fired and the advance wants to continue to
+     * @p target. Returns once more time is granted.
      *
      * @return The new exclusive horizon; must be strictly greater
      *         than the previous one (maxTick un-gates the queue).
@@ -409,46 +409,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
     TraceSink *traceSink_ = nullptr;
     FaultInjector *faultInjector_ = nullptr;
-};
-
-/**
- * A per-executor view of simulated time.
- *
- * Synchronous code holds a Clock and calls consume() to model the cost
- * of the work it performs. The clock forwards to the shared EventQueue
- * so device events interleave correctly.
- *
- * The Clock also tracks an "accounting scope" stack so benchmarks can
- * attribute elapsed time to stages (e.g., the six parts of Table 1).
- */
-class Clock
-{
-  public:
-    explicit Clock(EventQueue &eq) : eq_(&eq) {}
-
-    /** Current simulated time. */
-    Ticks now() const { return eq_->now(); }
-
-    /**
-     * Consume @p t ticks of simulated time (runs due events).
-     * A negative @p t is a cost-model arithmetic bug (a subtraction
-     * that went past zero) and panics — silently ignoring it used to
-     * mask exactly the bugs advanceBy's own assert was written to
-     * catch.
-     */
-    void
-    consume(Ticks t)
-    {
-        simAssert(t >= 0, "Clock::consume negative time");
-        if (t > 0)
-            eq_->advanceBy(t);
-    }
-
-    /** Underlying event queue. */
-    EventQueue &queue() { return *eq_; }
-
-  private:
-    EventQueue *eq_;
 };
 
 } // namespace svtsim

@@ -1,6 +1,7 @@
 #include "system/cluster.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "sim/log.h"
 #include "sim/trace.h"
@@ -58,25 +59,18 @@ namespace svtsim {
 Ticks
 Cluster::DriverGate::awaitHorizon(Ticks target)
 {
-    std::unique_lock<std::mutex> lk(mutex);
+    // The fiber may be resumed on another worker, and the C++ runtime
+    // keeps in-flight and caught exceptions per thread.
+    simAssert(std::uncaught_exceptions() == 0 && !std::current_exception(),
+              "Cluster: driver parked while an exception is in flight "
+              "or being handled");
     parkedTarget = target;
-    running = false;
-    cv.notify_all();
-    cv.wait(lk, [this] { return running; });
+    fiber.yield();
     parkedTarget = maxTick;
     return grant;
 }
 
 Cluster::Cluster(std::uint64_t baseSeed) : baseSeed_(baseSeed) {}
-
-Cluster::~Cluster()
-{
-    // run() joins every driver thread on all paths; a Cluster that
-    // never ran never spawned any.
-    for (auto &np : nodes_)
-        simAssert(!np->thread.joinable(),
-                  "Cluster destroyed with a live driver thread");
-}
 
 int
 Cluster::addMachine(const std::string &name, VirtMode mode,
@@ -162,38 +156,21 @@ Cluster::installFaultPlan(const FaultPlan &plan)
 Ticks
 Cluster::floorOf(const Node &n) const
 {
-    // Only called while the machine is quiescent (parked driver or
-    // barrier), so reading queue state and the parked target is
-    // ordered by the gate mutex hand-off.
     const Ticks next = n.system->machine().events().nextEventTime();
-    if (n.gate && !n.gate->finished)
+    if (n.driving())
         return std::min(next, n.gate->parkedTarget);
     return next;
 }
 
 void
-Cluster::waitQuiescent(DriverGate &gate)
-{
-    std::unique_lock<std::mutex> lk(gate.mutex);
-    gate.cv.wait(lk, [&gate] { return !gate.running; });
-}
-
-void
 Cluster::stepMachine(Node &n, Ticks horizon)
 {
-    if (n.gate) {
-        std::unique_lock<std::mutex> lk(n.gate->mutex);
-        if (!n.gate->finished) {
-            // Hand the driver thread the new horizon and lend it this
-            // worker's slot until it parks again (or finishes) — so
-            // the number of simultaneously *running* machines never
-            // exceeds the worker count.
-            n.gate->grant = horizon;
-            n.gate->running = true;
-            n.gate->cv.notify_all();
-            n.gate->cv.wait(lk, [&n] { return !n.gate->running; });
-            return;
-        }
+    if (n.driving()) {
+        // Run the driver on this worker until it parks again (or
+        // finishes).
+        n.gate->grant = horizon;
+        n.gate->fiber.resume();
+        return;
     }
     // Follower (or finished-driver) machine: plain horizon drain on
     // the worker itself. The drain moves the clock from event to
@@ -282,35 +259,27 @@ Cluster::run(int jobs)
         return stats;
 
     bool anyDriver = false;
-    for (auto &np : nodes_) {
-        Node &n = *np;
-        if (!n.driver)
-            continue;
-        anyDriver = true;
-        n.gate = std::make_unique<DriverGate>();
-        // The driver owns the machine from spawn (setup code runs
-        // before the first epoch); horizon 0 parks it at its first
-        // advance, which is where the coordinator picks it up.
-        n.system->machine().events().setAdvanceGate(n.gate.get(), 0);
-        n.thread = std::thread([this, &n] {
-            try {
-                n.driver(*n.system);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lk(errorMutex_);
-                if (driverError_.empty())
-                    driverError_ = n.name + ": " + e.what();
-            }
-            std::lock_guard<std::mutex> lk(n.gate->mutex);
-            n.gate->finished = true;
-            n.gate->running = false;
-            n.gate->cv.notify_all();
-        });
-    }
-
     try {
-        for (auto &np : nodes_)
-            if (np->gate)
-                waitQuiescent(*np->gate);
+        for (auto &np : nodes_) {
+            Node &n = *np;
+            if (!n.driver)
+                continue;
+            anyDriver = true;
+            n.gate = std::make_unique<DriverGate>([this, &n] {
+                try {
+                    n.driver(*n.system);
+                } catch (const std::exception &e) {
+                    std::lock_guard<std::mutex> lk(errorMutex_);
+                    if (driverError_.empty())
+                        driverError_ = n.name + ": " + e.what();
+                }
+            });
+            // Run the driver's setup code now, in machine-id order;
+            // horizon 0 parks it at its first advance, which is where
+            // the epoch loop picks it up.
+            n.system->machine().events().setAdvanceGate(n.gate.get(), 0);
+            n.gate->fiber.resume();
+        }
 
         std::unique_ptr<WorkerPool> pool;
         if (jobs > 1)
@@ -349,7 +318,7 @@ Cluster::run(int jobs)
             Ticks minFloor = maxTick;
             for (int i = 0; i < n; ++i) {
                 Node &node = *nodes_[static_cast<std::size_t>(i)];
-                if (node.gate && !node.gate->finished)
+                if (node.driving())
                     driverAlive = true;
                 floors[static_cast<std::size_t>(i)] = floorOf(node);
                 minFloor = std::min(
@@ -384,7 +353,7 @@ Cluster::run(int jobs)
                 }
                 bool needs =
                     node.system->machine().events().nextEventTime() < h;
-                if (node.gate && !node.gate->finished)
+                if (node.driving())
                     needs = needs || node.gate->parkedTarget < h;
                 if (!needs)
                     continue;
@@ -410,28 +379,21 @@ Cluster::run(int jobs)
             }
         }
     } catch (...) {
-        // Release every parked driver (maxTick un-gates its queue) so
-        // the threads unwind — a driver that then hits its own error
-        // records it — and rethrow the coordinator's error.
+        // Resume every parked driver with maxTick (which un-gates its
+        // queue) so it runs to its end and its frame unwinds — a
+        // driver that then hits its own error records it — and
+        // rethrow the coordinator's error.
         for (auto &np : nodes_) {
-            if (!np->gate)
+            if (!np->driving())
                 continue;
-            std::lock_guard<std::mutex> lk(np->gate->mutex);
             np->gate->grant = maxTick;
-            np->gate->running = true;
-            np->gate->cv.notify_all();
+            np->gate->fiber.resume();
         }
-        for (auto &np : nodes_)
-            if (np->thread.joinable())
-                np->thread.join();
         for (auto &np : nodes_)
             np->system->machine().events().setAdvanceGate(nullptr, 0);
         throw;
     }
 
-    for (auto &np : nodes_)
-        if (np->thread.joinable())
-            np->thread.join();
     for (auto &np : nodes_)
         np->system->machine().events().setAdvanceGate(nullptr, 0);
     if (!driverError_.empty())

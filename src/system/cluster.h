@@ -41,28 +41,29 @@
  *
  * Synchronous workload code (a netperf loop, a memcached serving
  * loop) cannot be chopped into horizon-sized calls, so each machine
- * with a driver runs it on a dedicated thread whose EventQueue wears
- * an AdvanceGate: an advance that would cross the horizon drains what
- * it owns and parks at the gate; the epoch step unparks it with the
- * new horizon and waits for it to park again (or finish). Concurrency
- * is still bounded by the worker count — a driver thread only ever
- * runs while its machine's epoch step is waiting on it.
+ * with a driver runs it as a Fiber whose EventQueue wears an
+ * AdvanceGate: an advance that would cross the horizon drains what it
+ * owns and parks by yielding; the epoch step resumes it, on the
+ * worker that steps the machine, with the new horizon and gets
+ * control back when it parks again (or finishes). A driver is just
+ * more work on its machine's step: no thread of its own, no hand-off
+ * between threads.
  */
 
 #ifndef SVTSIM_SYSTEM_CLUSTER_H
 #define SVTSIM_SYSTEM_CLUSTER_H
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/cross_link.h"
 #include "sim/fault.h"
+#include "sim/fiber.h"
 #include "system/nested_system.h"
 
 namespace svtsim {
@@ -89,7 +90,6 @@ class Cluster
   public:
     /** @param baseSeed Seed mixed with each machine's seed offset. */
     explicit Cluster(std::uint64_t baseSeed = 1);
-    ~Cluster();
 
     Cluster(const Cluster &) = delete;
     Cluster &operator=(const Cluster &) = delete;
@@ -130,10 +130,12 @@ class Cluster
                        double bits_per_sec);
 
     /**
-     * Install @p fn as machine @p id's synchronous driver: it runs on
-     * a dedicated thread under the machine's AdvanceGate for the
-     * duration of run(). Machines without a driver are advanced as
-     * pure event followers.
+     * Install @p fn as machine @p id's synchronous driver: during
+     * run() it runs as a Fiber under the machine's AdvanceGate, on
+     * whichever thread steps the machine (the caller of run() when
+     * jobs <= 1), so it must not keep thread-local state across a
+     * simulated-time advance. Machines without a driver are advanced
+     * as pure event followers.
      */
     void setDriver(int id, std::function<void(NestedSystem &)> fn);
 
@@ -160,22 +162,25 @@ class Cluster
 
   private:
     /**
-     * Gate shared between a driver thread and the coordinator. The
-     * mutex hand-off at park/unpark is also the memory barrier that
-     * publishes the machine's state between threads.
+     * A driver's fiber and its park/grant hand-off. The fiber only
+     * runs inside its machine's epoch step, so the worker pool's task
+     * hand-off already orders every access between threads.
      */
     struct DriverGate : AdvanceGate
     {
+        explicit DriverGate(std::function<void()> body)
+            : fiber(std::move(body))
+        {
+        }
+
+        /** Park: record @p target, yield to the epoch step, return
+         *  the grant it resumed us with. */
         Ticks awaitHorizon(Ticks target) override;
 
-        std::mutex mutex;
-        std::condition_variable cv;
-        /** True while the driver thread owns the machine. */
-        bool running = true;
-        bool finished = false;
-        /** Advance target the driver is parked on (valid !running). */
+        Fiber fiber;
+        /** Advance target the driver is parked on. */
         Ticks parkedTarget = maxTick;
-        /** Horizon to hand the driver on next unpark. */
+        /** Horizon to hand the driver on next resume. */
         Ticks grant = 0;
     };
 
@@ -185,7 +190,6 @@ class Cluster
         std::unique_ptr<NestedSystem> system;
         std::function<void(NestedSystem &)> driver;
         std::unique_ptr<DriverGate> gate;
-        std::thread thread;
         /** Reusable epoch-step slot handed to WorkerPool::runTasks. */
         std::function<void()> step;
         /** This machine's horizon for the current epoch (written by
@@ -194,15 +198,16 @@ class Cluster
         /** Largest horizon ever granted: staged arrivals below this
          *  would land in the machine's executed past. */
         Ticks granted = 0;
+
+        /** True while the driver has yet to return. */
+        bool driving() const { return gate && !gate->fiber.finished(); }
     };
 
-    /** Earliest time machine @p n can next act (coordinator side;
-     *  requires the machine parked/finished/follower). */
+    /** Earliest time machine @p n can next act (coordinator side,
+     *  between epoch steps). */
     Ticks floorOf(const Node &n) const;
     /** Advance machine @p n's window to @p horizon (worker side). */
     void stepMachine(Node &n, Ticks horizon);
-    /** Block until @p n's driver is parked or finished. */
-    static void waitQuiescent(DriverGate &gate);
     /** Merge staged link packets canonically; returns count. Checks
      *  each arrival against the destination's granted horizon. */
     std::uint64_t mergeStaged();

@@ -16,7 +16,7 @@
  *                          .machine("server", VirtMode::SwSvt)
  *                          .machine("client", VirtMode::Native)
  *                          .link("server", "client")
- *                          .realize(ctx.seed());
+ *                          .realize(ctx);
  *     VirtioNetStack net(b.stack("server"), b.port("server", "client"));
  *     ...
  *     b.driver("server", [&](NestedSystem &) { ... });

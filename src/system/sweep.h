@@ -84,14 +84,16 @@ struct Scenario
 /**
  * Execution context handed to a ClusterScenarioFn.
  *
- * Usage inside the callback:
+ * Usage inside the callback (see ClusterSpec):
  *
- *     Cluster cluster(ctx.seed());
- *     ... addMachine / connect / setDriver ...
- *     ctx.prepare(cluster);     // faults + per-machine traces
- *     cluster.run(ctx.jobs());
+ *     ClusterBuild b = ClusterSpec()
+ *                          ... .machine(...) / .link(...) ...
+ *                          .realize(ctx);
+ *     ... b.driver(name, fn) ...
+ *     b.run(ctx);               // ctx.prepare (faults + per-machine
+ *                               // traces) + Cluster::run(ctx.jobs())
  *     ... record workload metrics ...
- *     ctx.finish(cluster, result);  // fingerprints + PMU + traces
+ *     ctx.finish(b.cluster(), result);  // fingerprints + PMU + traces
  *
  * finish() records one `final_ticks_m<i>` metric per machine (the
  * cluster determinism fingerprint, compared byte-for-byte across

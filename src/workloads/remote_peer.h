@@ -11,7 +11,7 @@
  * serialization + latency.
  *
  *  - NetserverPeer  — fig7's netserver; purely event-driven (no
- *    driver thread needed), it reacts to tagged request packets: RR
+ *    cluster driver needed), it reacts to tagged request packets: RR
  *    requests are echoed after the peer turnaround time, STREAM
  *    segments are acknowledged cumulatively per connection.
  *  - Netperf        — the netperf client in the guest (Section 6.2

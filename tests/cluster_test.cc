@@ -5,7 +5,7 @@
  * bulk-submit path, CrossLink ordering/latency properties, and the
  * headline determinism contract — a cluster run is byte-identical for
  * any worker count, including under fault injection, with errors from
- * driver threads contained and rethrown.
+ * driver fibers contained and rethrown.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/cross_link.h"
@@ -397,6 +398,60 @@ TEST(Cluster, DriverErrorIsContainedAndRethrown)
             }
         },
         SimError);
+}
+
+TEST(Cluster, DriverRunsOnSteppingThread)
+{
+    // A driver is part of its machine's epoch step: with jobs = 1
+    // every step, setup code included, runs on run()'s caller.
+    Cluster cluster(1);
+    int a = cluster.addMachine("a", VirtMode::Native);
+    int b = cluster.addMachine("b", VirtMode::Native);
+    cluster.connect(a, b, usec(1), 10e9);
+    std::vector<std::thread::id> seen;
+    for (int id : {a, b})
+        cluster.setDriver(id, [&seen](NestedSystem &sys) {
+            Machine &m = sys.machine();
+            seen.push_back(std::this_thread::get_id());
+            // Each wait crosses the granted horizon, so it parks.
+            for (int k = 1; k <= 5; ++k) {
+                while (m.now() < usec(k))
+                    m.idleUntil(usec(k));
+                seen.push_back(std::this_thread::get_id());
+            }
+        });
+    cluster.run(1);
+    EXPECT_EQ(seen.size(), 12u);
+    for (const std::thread::id &id : seen)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(Cluster, ParkedDriverUnwindsWhenAnotherThrows)
+{
+    struct SetOnExit
+    {
+        bool &flag;
+        ~SetOnExit() { flag = true; }
+    };
+    for (int jobs : {1, 2}) {
+        Cluster cluster(1);
+        int a = cluster.addMachine("boom", VirtMode::Native);
+        int b = cluster.addMachine("parked", VirtMode::Native);
+        cluster.connect(a, b, usec(1), 10e9);
+        cluster.setDriver(a, [](NestedSystem &sys) {
+            sys.machine().idleUntil(usec(5));
+            throw SimError("deliberate driver failure");
+        });
+        bool unwound = false;
+        cluster.setDriver(b, [&unwound](NestedSystem &sys) {
+            SetOnExit guard{unwound};
+            Machine &m = sys.machine();
+            while (m.now() < msec(1))
+                m.idleUntil(msec(1));
+        });
+        EXPECT_THROW(cluster.run(jobs), SimError) << "jobs=" << jobs;
+        EXPECT_TRUE(unwound) << "jobs=" << jobs;
+    }
 }
 
 TEST(Cluster, RunIsOnceOnly)

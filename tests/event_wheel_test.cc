@@ -421,21 +421,6 @@ TEST(EventWheel, NegativeDeltaStillPanics)
     EXPECT_THROW(eq.scheduleIn(-5, [] {}), PanicError);
 }
 
-// ------------------------------------------------- Clock::consume
-
-TEST(Clock, NegativeConsumePanics)
-{
-    // Regression: consume() used to silently ignore negative ticks,
-    // masking cost-model arithmetic bugs (a subtraction past zero)
-    // that advanceBy's own assert was written to catch.
-    EventQueue eq;
-    Clock clock(eq);
-    EXPECT_THROW(clock.consume(-1), PanicError);
-    EXPECT_NO_THROW(clock.consume(0));
-    clock.consume(nsec(3));
-    EXPECT_EQ(clock.now(), nsec(3));
-}
-
 // ------------------------------------------------- wheel mechanics
 
 TEST(EventWheel, SameTickFifoAcrossCascadeBoundaries)

@@ -7,9 +7,12 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/fiber.h"
 #include "sim/log.h"
 #include "sim/random.h"
 #include "sim/ticks.h"
@@ -450,19 +453,6 @@ TEST(EventQueue, NextEventTimeIsConstAndStable)
     EXPECT_TRUE(ran);
 }
 
-TEST(Clock, ConsumeAdvancesSharedQueue)
-{
-    EventQueue eq;
-    Clock clock(eq);
-    bool fired = false;
-    eq.schedule(nsec(10), [&] { fired = true; });
-    clock.consume(nsec(5));
-    EXPECT_FALSE(fired);
-    clock.consume(nsec(5));
-    EXPECT_TRUE(fired);
-    EXPECT_EQ(clock.now(), nsec(10));
-}
-
 // Property: interleaved random schedule/cancel/advance keeps the queue
 // consistent: every non-cancelled event fires exactly once, in order.
 TEST(EventQueue, PropertyRandomizedConsistency)
@@ -494,6 +484,93 @@ TEST(EventQueue, PropertyRandomizedConsistency)
             EXPECT_LE(fired[i - 1], fired[i]);
         EXPECT_TRUE(eq.empty());
     }
+}
+
+// ---------------------------------------------------------------- fiber
+
+TEST(Fiber, ResumeAndYieldAlternate)
+{
+    std::vector<int> steps;
+    Fiber *self = nullptr;
+    Fiber f([&] {
+        steps.push_back(1);
+        self->yield();
+        steps.push_back(3);
+        self->yield();
+        steps.push_back(5);
+    });
+    self = &f;
+    EXPECT_TRUE(steps.empty()); // the body waits for the first resume
+    steps.push_back(0);
+    f.resume();
+    steps.push_back(2);
+    f.resume();
+    steps.push_back(4);
+    EXPECT_FALSE(f.finished());
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(steps, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_THROW(f.resume(), PanicError);
+}
+
+TEST(Fiber, LocalsSurviveYield)
+{
+    Fiber *self = nullptr;
+    std::string seen;
+    Fiber f([&] {
+        std::string local = "before";
+        long sum = 0;
+        for (int i = 1; i <= 10; ++i) {
+            sum += i;
+            self->yield();
+        }
+        seen = local + ":" + std::to_string(sum);
+    });
+    self = &f;
+    int resumes = 0;
+    while (!f.finished()) {
+        f.resume();
+        ++resumes;
+    }
+    EXPECT_EQ(resumes, 11);
+    EXPECT_EQ(seen, "before:55");
+}
+
+/** The calling thread's id, read afresh through a volatile pointer:
+ *  pthread_self() is declared const, so a direct call may reuse the
+ *  value read before a yield. */
+std::thread::id (*volatile currentThreadId)() = [] {
+    return std::this_thread::get_id();
+};
+
+TEST(Fiber, ResumesFromAnotherThread)
+{
+    // The cluster engine resumes a driver on whichever worker steps
+    // its machine, so one fiber's frame hops between threads.
+    Fiber *self = nullptr;
+    std::vector<std::thread::id> ids;
+    int counter = 0;
+    Fiber f([&] {
+        int local = 7;
+        ids.push_back(currentThreadId());
+        self->yield();
+        local *= 3;
+        ids.push_back(currentThreadId());
+        self->yield();
+        ids.push_back(currentThreadId());
+        counter = local;
+    });
+    self = &f;
+    f.resume();
+    std::thread other([&f] { f.resume(); });
+    other.join();
+    f.resume();
+    ASSERT_TRUE(f.finished());
+    ASSERT_EQ(ids.size(), 3u);
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    EXPECT_NE(ids[1], std::this_thread::get_id());
+    EXPECT_EQ(ids[2], std::this_thread::get_id());
+    EXPECT_EQ(counter, 21);
 }
 
 } // namespace
